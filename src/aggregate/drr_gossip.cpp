@@ -71,9 +71,9 @@ Phase12 run_phase12(std::uint32_t n, std::span<const double> values,
                           config.convergecast);
   clock += p.cc.rounds;
   // Root-address broadcast: after it, every tree member can forward Phase
-  // III traffic to its root.  (Protocol-level forwarding reads the forest
-  // structure, which this acknowledged broadcast provably distributed --
-  // see DESIGN.md.)
+  // III traffic to its root.  (Protocol-level forwarding reads the root
+  // address from the forest: the acknowledged broadcast hands member v
+  // exactly forest.root_of(v), so the forest stands in for v's copy.)
   std::vector<double>& addr_payload =
       support::scratch_buffer<double, kScratchAddrPayload>();
   addr_payload.assign(n, 0.0);

@@ -5,17 +5,19 @@
 //
 // Motivation: the push-sum Sum/Count variants concentrate the denominator
 // mass on a single root, so one lost message early in Phase III can shift
-// the estimate by a large factor (see EXPERIMENTS.md).  Extrema
-// propagation replaces mass-splitting with *minimum diffusion*, which --
-// like Max -- is idempotent and therefore immune to message loss and
-// duplication:
+// the estimate by a large factor (bench_failures' BM_CountUnderLoss
+// compares the two under loss).  Extrema propagation replaces
+// mass-splitting with *minimum diffusion*, which -- like Max -- is
+// idempotent and therefore immune to message loss and duplication:
 //
 //   * every node draws k independent exponentials; for Count with rate 1,
 //     for Sum with rate v_i (values must be positive);
 //   * the componentwise minimum over all nodes is distributed
 //     Exp(n) resp. Exp(sum v_i), and diffuses through exactly the same
 //     three phases as Max: convergecast-min up the DRR trees, then
-//     root gossip with componentwise-min absorption;
+//     root gossip with componentwise-min absorption -- the same
+//     convergecast and Gossip-max protocols the Max pipeline runs,
+//     instantiated on k-vectors;
 //   * each root estimates n (resp. the sum) as (k-1) / sum_j min_j --
 //     the unbiased inverse-Gamma estimator with relative standard error
 //     1/sqrt(k-2).
@@ -37,7 +39,8 @@ namespace drrg {
 struct ExtremaConfig {
   /// Number of exponentials per node; 0 = 4 * ceil(log2 n).
   std::uint32_t k = 0;
-  /// Phase III schedule (reuses the Gossip-max multipliers).
+  /// Phase III schedule and member relay (the Gossip-max config; its
+  /// stream_tag is unused, extrema keeps its own stream purposes).
   GossipMaxConfig gossip;
 };
 

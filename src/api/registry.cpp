@@ -6,7 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "api/parallel.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace drrg::api {

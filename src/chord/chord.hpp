@@ -16,8 +16,7 @@
 // consecutive arcs divided by the ring size; sums of S exponential-ish
 // arcs concentrate around S * mean, so every node is selected with
 // probability (1 +- O(1/sqrt(S))) / n -- near-uniform in exactly the sense
-// the Phase III analysis needs -- at O(log n) hops per draw.  DESIGN.md
-// documents this substitution.
+// the Phase III analysis needs -- at O(log n) hops per draw.
 
 #include <cstdint>
 #include <vector>

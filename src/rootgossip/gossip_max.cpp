@@ -1,268 +1,15 @@
 #include "rootgossip/gossip_max.hpp"
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
+#include "rootgossip/gossip_max_protocol.hpp"
 #include "rootgossip/ordered_key.hpp"
-#include "sim/engine.hpp"
 #include "support/mathutil.hpp"
 
 namespace drrg {
-
-namespace {
-
-struct GmMsg {
-  // kRelay*: first hop of the member relay on explicit topologies -- the
-  // root hands its message to a uniform random member of its own tree,
-  // which then samples *its* substrate neighbor.  This makes the G~
-  // overlay inherit the tree-adjacency connectivity of the substrate
-  // (connected whenever G is); sampling only the root node's own 2-4
-  // neighbors strands keys in enclosed trees, the historical grid
-  // consensus = 0 failure.
-  enum class Kind : std::uint8_t {
-    kGossip, kInquiry, kInquiryReply, kRelayGossip, kRelayInquiry
-  };
-  // Field order keeps the struct at 16 bytes (24-byte queue envelopes):
-  // the queues are the engine's hottest memory traffic.
-  std::uint64_t key = 0;
-  sim::NodeId origin = sim::kNoNode;  // inquiring root (kInquiry)
-  Kind kind = Kind::kGossip;
-};
-
-struct GossipMaxProtocol {
-  GossipMaxProtocol(const Forest& f, std::span<const std::uint64_t> init,
-                    const GossipMaxConfig& cfg, std::uint32_t n, bool relay_members)
-      : forest(f),
-        relay(relay_members),
-        key(n, kKeyBottom),
-        key_bits(64 + 2 * address_bits(n)),
-        gossip_rounds(static_cast<std::uint32_t>(cfg.gossip_multiplier *
-                                                 static_cast<double>(ceil_log2(n)) *
-                                                 cfg.round_budget_scale)),
-        sampling_rounds(static_cast<std::uint32_t>(cfg.sampling_multiplier *
-                                                   static_cast<double>(ceil_log2(n)) *
-                                                   cfg.round_budget_scale)),
-        drain(cfg.drain_rounds) {
-    for (NodeId r : f.roots()) key[r] = init[r];
-  }
-
-  const Forest& forest;
-  bool relay;  // explicit topology: leave the tree via a random member
-  std::vector<std::uint64_t> key;
-  std::vector<std::uint64_t> key_after_gossip;  // filled by the runner
-  std::uint32_t key_bits;
-  std::uint32_t gossip_rounds;
-  std::uint32_t sampling_rounds;
-  std::uint32_t drain;
-
-  /// Only roots act in Algorithm 4/5; the engine thins its upcall scans
-  /// to the (ascending) root list.
-  [[nodiscard]] std::span<const sim::NodeId> active_nodes() const noexcept {
-    return forest.roots();
-  }
-
-  [[nodiscard]] std::uint32_t total_rounds() const {
-    return gossip_rounds + drain + sampling_rounds + drain;
-  }
-  [[nodiscard]] bool in_gossip(std::uint32_t r) const { return r < gossip_rounds; }
-  [[nodiscard]] bool in_sampling(std::uint32_t r) const {
-    return r >= gossip_rounds + drain && r < gossip_rounds + drain + sampling_rounds;
-  }
-
-  void on_round(sim::Network<GmMsg>& net, sim::NodeId v) {
-    const std::uint32_t r = net.round();
-    const bool gossip = in_gossip(r);
-    if (!gossip && !in_sampling(r)) return;
-    if (relay) {
-      // Pick the member that will carry this round's call (the root
-      // itself carries it with probability 1/|tree|, the size-1 tree
-      // degenerating to the direct path).
-      const auto members = forest.tree_members(v);
-      const auto m = static_cast<sim::NodeId>(
-          members[net.node_rng(v).next_below(members.size())]);
-      if (m != v) {
-        net.send(v, m,
-                 gossip ? GmMsg{key[v], sim::kNoNode, GmMsg::Kind::kRelayGossip}
-                        : GmMsg{0, v, GmMsg::Kind::kRelayInquiry},
-                 key_bits);
-        return;
-      }
-    }
-    const sim::NodeId target = net.sample_peer(v);
-    net.send(v, target,
-             gossip ? GmMsg{key[v], sim::kNoNode, GmMsg::Kind::kGossip}
-                    : GmMsg{0, v, GmMsg::Kind::kInquiry},
-             key_bits);
-  }
-
-  void on_message(sim::Network<GmMsg>& net, sim::NodeId, sim::NodeId dst, const GmMsg& m) {
-    if (m.kind == GmMsg::Kind::kRelayGossip || m.kind == GmMsg::Kind::kRelayInquiry) {
-      // Relay hop: this member samples *its* neighbor on the substrate.
-      const sim::NodeId target = net.sample_peer(dst);
-      net.send(dst, target,
-               m.kind == GmMsg::Kind::kRelayGossip
-                   ? GmMsg{m.key, sim::kNoNode, GmMsg::Kind::kGossip}
-                   : GmMsg{0, m.origin, GmMsg::Kind::kInquiry},
-               key_bits);
-      return;
-    }
-    // A mid-run joiner that arrived after the forest was fixed is alive
-    // but outside the overlay: it has no root to forward to, so the call
-    // dies here exactly like a call to a crashed address.
-    if (!forest.is_member(dst)) return;
-    // root_of(v) == v iff v is a member root: one load replaces the
-    // member/parent double lookup on the hottest delivery path.
-    const sim::NodeId root = forest.root_of(dst);
-    if (root != dst) {
-      // Forward to this node's root: the address learned in Phase II.
-      // One extra round and message -- the second hop of the G~ edge.
-      net.send(dst, root, m, key_bits);
-      return;
-    }
-    switch (m.kind) {
-      case GmMsg::Kind::kGossip:
-        key[dst] = std::max(key[dst], m.key);
-        break;
-      case GmMsg::Kind::kInquiry:
-        // Reply directly to the inquiring root (its address travelled in
-        // the message): one hop on G.
-        net.send(dst, m.origin, GmMsg{key[dst], sim::kNoNode, GmMsg::Kind::kInquiryReply},
-                 key_bits);
-        break;
-      case GmMsg::Kind::kInquiryReply:
-        key[dst] = std::max(key[dst], m.key);
-        break;
-      default:
-        break;  // relay kinds handled above
-    }
-  }
-};
-
-/// Flat fault-free executor: the same protocol unrolled onto two pooled
-/// plain-array queues, with no engine dispatch, no crash/loss checks and
-/// no reply machinery.  Every send, every delivery, every RNG draw and
-/// every key update happens in exactly the order the Network path produces
-/// (forwards queued during round r's delivery are carried over and
-/// delivered at the *front* of round r+1's batch, ahead of that round's
-/// fresh root sends -- the engine's leftover-outbox order), so counters
-/// and results are bit-identical -- the golden determinism tests pin
-/// this.  Roughly 2x the throughput of the generic path, which matters
-/// because Phase III dominates pipeline wall-clock.  NOTE: the lazy
-/// rng_at slots, the relay-carrier pick and the cur/nxt queue discipline
-/// are mirrored in run_push_sum_flat (gossip_ave.cpp); keep the two in
-/// lockstep or the checksums will tell you.
-GossipMaxResult run_gossip_max_flat(const Forest& forest,
-                                    std::span<const std::uint64_t> init_key,
-                                    const RngFactory& rngs, const sim::Scenario& scenario,
-                                    const GossipMaxConfig& config, std::uint32_t n) {
-  const bool relay = config.member_relay && !scenario.topology.is_complete();
-  GossipMaxProtocol proto{forest, init_key, config, n, relay};
-  const std::uint64_t purpose = derive_seed(0x3099, config.stream_tag);
-  const sim::Topology& topology = scenario.topology;
-  const std::vector<NodeId>& roots = forest.roots();
-
-  // Per-node sampling streams, identical to Network::node_rng(v): lazily
-  // constructed (relay touches arbitrary members, roots always draw).
-  std::vector<Rng> rng_slot(relay ? n : roots.size(), Rng{});
-  std::vector<std::uint8_t> rng_init(relay ? n : roots.size(), 0);
-  auto rng_at = [&](NodeId v, std::size_t slot) -> Rng& {
-    if (!rng_init[slot]) {
-      rng_slot[slot] = rngs.node_stream(v, purpose);
-      rng_init[slot] = 1;
-    }
-    return rng_slot[slot];
-  };
-
-  struct Pending {
-    NodeId dst;
-    std::uint64_t key;
-    NodeId origin;
-    GmMsg::Kind kind;
-  };
-  std::vector<Pending> cur, nxt;
-  cur.reserve(roots.size() * 2);
-  nxt.reserve(roots.size() * 2);
-
-  // Every message carries key_bits; locals keep the tallies in registers.
-  std::uint64_t msgs = 0;
-  std::uint64_t delivered = 0;
-  const sim::Topology::PeerSampler sample = topology.sampler(n);
-  const NodeId* root_of = forest.root_of_table();
-  auto key_of = proto.key.data();
-  for (std::uint32_t r = 0; r < proto.total_rounds(); ++r) {
-    const bool gossip = proto.in_gossip(r);
-    const bool sampling = proto.in_sampling(r);
-    if (gossip || sampling) {
-      for (std::size_t i = 0; i < roots.size(); ++i) {
-        const NodeId v = roots[i];
-        Rng& vrng = rng_at(v, relay ? v : i);
-        ++msgs;
-        if (relay) {
-          const auto members = forest.tree_members(v);
-          const auto m =
-              static_cast<NodeId>(members[vrng.next_below(members.size())]);
-          if (m != v) {
-            cur.push_back(gossip
-                              ? Pending{m, key_of[v], sim::kNoNode, GmMsg::Kind::kRelayGossip}
-                              : Pending{m, 0, v, GmMsg::Kind::kRelayInquiry});
-            continue;
-          }
-        }
-        const NodeId target = sample(v, vrng);
-        cur.push_back(gossip ? Pending{target, key_of[v], sim::kNoNode, GmMsg::Kind::kGossip}
-                             : Pending{target, 0, v, GmMsg::Kind::kInquiry});
-      }
-    }
-    for (const Pending& e : cur) {
-      ++delivered;
-      if (e.kind == GmMsg::Kind::kRelayGossip || e.kind == GmMsg::Kind::kRelayInquiry) {
-        // Relay hop: this member samples *its* substrate neighbor.
-        const NodeId target = sample(e.dst, rng_at(e.dst, e.dst));
-        ++msgs;
-        nxt.push_back(e.kind == GmMsg::Kind::kRelayGossip
-                          ? Pending{target, e.key, sim::kNoNode, GmMsg::Kind::kGossip}
-                          : Pending{target, 0, e.origin, GmMsg::Kind::kInquiry});
-        continue;
-      }
-      const NodeId root = root_of[e.dst];
-      if (root != e.dst) {  // second hop of the G~ edge, next round
-        ++msgs;
-        nxt.push_back(Pending{root, e.key, e.origin, e.kind});
-        continue;
-      }
-      switch (e.kind) {
-        case GmMsg::Kind::kGossip:
-          key_of[e.dst] = std::max(key_of[e.dst], e.key);
-          break;
-        case GmMsg::Kind::kInquiry:
-          ++msgs;
-          nxt.push_back(Pending{e.origin, key_of[e.dst], sim::kNoNode,
-                                GmMsg::Kind::kInquiryReply});
-          break;
-        case GmMsg::Kind::kInquiryReply:
-          key_of[e.dst] = std::max(key_of[e.dst], e.key);
-          break;
-        default:
-          break;  // relay kinds handled above
-      }
-    }
-    cur.swap(nxt);
-    nxt.clear();
-    if (r + 1 == proto.gossip_rounds + proto.drain) proto.key_after_gossip = proto.key;
-  }
-
-  GossipMaxResult result;
-  result.key = std::move(proto.key);
-  result.key_after_gossip = std::move(proto.key_after_gossip);
-  result.counters.sent = msgs;
-  result.counters.delivered = delivered;
-  result.counters.bits = msgs * proto.key_bits;
-  result.counters.rounds = proto.total_rounds();
-  result.rounds = proto.total_rounds();
-  return result;
-}
-
-}  // namespace
 
 GossipMaxResult run_gossip_max(const Forest& forest,
                                std::span<const std::uint64_t> init_key,
@@ -271,24 +18,18 @@ GossipMaxResult run_gossip_max(const Forest& forest,
   const std::uint32_t n = forest.size();
   if (init_key.size() < n) throw std::invalid_argument("run_gossip_max: keys too short");
 
-  if (scenario.faults.fault_free())
-    return run_gossip_max_flat(forest, init_key, rngs, scenario, config, n);
-
-  sim::Network<GmMsg> net{n, rngs, scenario, derive_seed(0x3099, config.stream_tag)};
-  GossipMaxProtocol proto{forest, init_key, config, n,
-                          config.member_relay && !scenario.topology.is_complete()};
-
-  // Run the gossip procedure (plus drain), snapshot for Theorem 5, then
-  // the sampling procedure (plus drain).
-  for (std::uint32_t r = 0; r < proto.gossip_rounds + proto.drain; ++r) net.step(proto);
-  proto.key_after_gossip = proto.key;
-  for (std::uint32_t r = 0; r < proto.sampling_rounds + proto.drain; ++r) net.step(proto);
+  std::vector<std::uint64_t> key(n, kKeyBottom);
+  for (NodeId r : forest.roots()) key[r] = init_key[r];
+  auto max_of = [](std::uint64_t& into, std::uint64_t from) { into = std::max(into, from); };
+  detail::GossipMaxRun<std::uint64_t> run = detail::run_gossip_max_of(
+      forest, std::move(key), max_of, 64 + 2 * address_bits(n), rngs, scenario, config,
+      derive_seed(0x3099, config.stream_tag));
 
   GossipMaxResult result;
-  result.key = std::move(proto.key);
-  result.key_after_gossip = std::move(proto.key_after_gossip);
-  result.counters = net.counters();
-  result.rounds = proto.total_rounds();
+  result.key = std::move(run.key);
+  result.key_after_gossip = std::move(run.key_after_gossip);
+  result.counters = run.counters;
+  result.rounds = run.rounds;
   return result;
 }
 

@@ -181,7 +181,8 @@ struct FaultSchedule {
   LatencyModel latency{};
 
   FaultSchedule() = default;
-  /// The historical two-field shape `FaultModel{loss, crash}`.
+  /// Static start-time faults: link loss and a crashed fraction, plus
+  /// optional churn events.
   FaultSchedule(double loss, double crash, std::vector<CrashEvent> events = {})
       : loss_prob(loss), crash_fraction(crash), churn(std::move(events)) {}
 
@@ -211,9 +212,5 @@ struct FaultSchedule {
     return crash_fraction <= 0.0 && !has_churn() && !has_blocks() && !has_joins();
   }
 };
-
-/// Historical name (static start-time crashes + link loss); every
-/// FaultModel is the degenerate schedule with no churn events.
-using FaultModel = FaultSchedule;
 
 }  // namespace drrg::sim

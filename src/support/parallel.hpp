@@ -18,7 +18,7 @@
 // So `threads` is purely a wall-clock knob; correctness tests can run the
 // same sweep at --threads 1/4/8 and memcmp the reports.  Lives in
 // support/ so the aggregate layer can nest fan-outs without depending on
-// the api facade; api/parallel.hpp re-exports the historical names.
+// the api facade.
 
 #include <atomic>
 #include <cstddef>

@@ -84,7 +84,7 @@ class Histogram {
   [[nodiscard]] double bucket_lo(std::size_t i) const noexcept;
   [[nodiscard]] double bucket_hi(std::size_t i) const noexcept;
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Multi-line ASCII rendering (for examples / EXPERIMENTS.md appendix).
+  /// Multi-line ASCII rendering, one line per bucket.
   [[nodiscard]] std::string render(std::size_t width = 40) const;
 
  private:

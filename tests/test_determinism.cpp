@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -237,23 +238,41 @@ TEST(GoldenDeterminism, ShardedEngineIsIntraThreadInvariant) {
 // stream feeds nothing else -- so the pair must hash equal on every
 // substrate.
 TEST(GoldenDeterminism, FlatExecutorsMatchEnginePath) {
+  struct Input {
+    const char* algo;
+    api::Aggregate agg;
+  };
+  // Every drr aggregate whose pipeline takes a different set of flat
+  // executors, plus extrema, which runs the same convergecast and
+  // Gossip-max protocols on min-vectors.
+  const Input inputs[] = {
+      {"drr", api::Aggregate::kAve},       {"drr", api::Aggregate::kMax},
+      {"drr", api::Aggregate::kMin},       {"drr", api::Aggregate::kSum},
+      {"drr", api::Aggregate::kCount},     {"drr", api::Aggregate::kRank},
+      {"extrema", api::Aggregate::kCount}, {"extrema", api::Aggregate::kSum},
+  };
   for (const sim::TopologyKind kind :
        {sim::TopologyKind::kComplete, sim::TopologyKind::kChordRing,
         sim::TopologyKind::kRandomRegular, sim::TopologyKind::kGrid2d}) {
-    for (const api::Aggregate agg : {api::Aggregate::kAve, api::Aggregate::kMax}) {
-      api::RunSpec flat = spec_of(256, agg, 97);
+    for (const Input& in : inputs) {
+      api::RunSpec flat = spec_of(256, in.agg, 97);
       flat.topology.kind = kind;
+      flat.rank_threshold = 50.0;
       api::RunSpec engine = flat;
       engine.faults.loss_prob = 1e-300;  // engine path, zero effective loss
-      const api::RunReport a = api::run("drr", flat);
-      const api::RunReport b = api::run("drr", engine);
-      EXPECT_EQ(a.value, b.value) << sim::to_string(kind);
-      EXPECT_EQ(a.consensus, b.consensus) << sim::to_string(kind);
-      EXPECT_EQ(a.rounds, b.rounds) << sim::to_string(kind);
-      EXPECT_EQ(a.cost.sent, b.cost.sent) << sim::to_string(kind);
-      EXPECT_EQ(a.cost.delivered, b.cost.delivered) << sim::to_string(kind);
-      EXPECT_EQ(a.cost.bits, b.cost.bits) << sim::to_string(kind);
-      EXPECT_EQ(a.forest.num_trees, b.forest.num_trees) << sim::to_string(kind);
+      const api::RunReport a = api::run(in.algo, flat);
+      const api::RunReport b = api::run(in.algo, engine);
+      const std::string where = std::string(in.algo) + "/" +
+                                std::string(api::to_string(in.agg)) + " on " +
+                                std::string(sim::to_string(kind));
+      ASSERT_TRUE(a.ok() && b.ok()) << where << ": " << a.error << b.error;
+      EXPECT_EQ(a.value, b.value) << where;
+      EXPECT_EQ(a.consensus, b.consensus) << where;
+      EXPECT_EQ(a.rounds, b.rounds) << where;
+      EXPECT_EQ(a.cost.sent, b.cost.sent) << where;
+      EXPECT_EQ(a.cost.delivered, b.cost.delivered) << where;
+      EXPECT_EQ(a.cost.bits, b.cost.bits) << where;
+      EXPECT_EQ(a.forest.num_trees, b.forest.num_trees) << where;
     }
   }
 }

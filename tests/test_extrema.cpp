@@ -33,7 +33,7 @@ TEST(ExtremaCount, LossInvariant) {
   // Min-diffusion is idempotent: once consensus is reached the estimate
   // cannot depend on delta (same seed => same draws => same minima).
   const auto clean = drr_gossip_count_extrema(1024, 7);
-  const auto lossy = drr_gossip_count_extrema(1024, 7, sim::FaultModel{0.25, 0.0});
+  const auto lossy = drr_gossip_count_extrema(1024, 7, sim::FaultSchedule{0.25, 0.0});
   ASSERT_TRUE(clean.consensus);
   ASSERT_TRUE(lossy.consensus);
   EXPECT_DOUBLE_EQ(clean.estimate, lossy.estimate);
@@ -42,7 +42,7 @@ TEST(ExtremaCount, LossInvariant) {
 TEST(ExtremaCount, CountsAliveNodesOnly) {
   ExtremaConfig cfg;
   cfg.k = 256;
-  const auto r = drr_gossip_count_extrema(2048, 9, sim::FaultModel{0.0, 0.25}, cfg);
+  const auto r = drr_gossip_count_extrema(2048, 9, sim::FaultSchedule{0.0, 0.25}, cfg);
   EXPECT_NEAR(r.estimate, 1536.0, 4.0 * r.predicted_rse * 1536.0);
 }
 
@@ -67,7 +67,7 @@ TEST(ExtremaSum, RobustAtModelLossCeiling) {
   std::vector<double> values(n, 2.5);  // truth = 2560
   ExtremaConfig cfg;
   cfg.k = 200;
-  const auto r = drr_gossip_sum_extrema(n, values, 13, sim::FaultModel{0.125, 0.0}, cfg);
+  const auto r = drr_gossip_sum_extrema(n, values, 13, sim::FaultSchedule{0.125, 0.0}, cfg);
   EXPECT_TRUE(r.consensus);
   EXPECT_NEAR(r.estimate, 2560.0, 4.0 * r.predicted_rse * 2560.0);
 }
@@ -78,6 +78,34 @@ TEST(ExtremaSum, RejectsNonPositive) {
   EXPECT_THROW((void)drr_gossip_sum_extrema(64, values, 1), std::invalid_argument);
   values[5] = -2.0;
   EXPECT_THROW((void)drr_gossip_sum_extrema(64, values, 1), std::invalid_argument);
+}
+
+TEST(Extrema, LatencyKeepsTheLatencyFreeEstimate) {
+  // Under event-time latency the convergecast resend loop puts duplicate
+  // reports in flight before the first ack returns.  Each child must be
+  // folded in exactly once, or a wrapped pending count strands its whole
+  // subtree; with every subtree folded in, min-diffusion is exact, so the
+  // estimate equals the latency-free one bit for bit.
+  const std::uint32_t n = 1024;
+  Rng rng{29};
+  std::vector<double> values(n);
+  for (auto& v : values) v = rng.next_uniform(0.5, 10.0);
+  const auto clean_count = drr_gossip_count_extrema(n, 3);
+  const auto clean_sum = drr_gossip_sum_extrema(n, values, 3);
+  ASSERT_TRUE(clean_count.consensus);
+  ASSERT_TRUE(clean_sum.consensus);
+  using Kind = sim::LatencyModel::Kind;
+  for (const sim::LatencyModel latency :
+       {sim::LatencyModel{Kind::kFixed, 2, 2}, sim::LatencyModel{Kind::kUniform, 0, 4}}) {
+    sim::FaultSchedule faults;
+    faults.latency = latency;
+    const auto count = drr_gossip_count_extrema(n, 3, faults);
+    EXPECT_TRUE(count.consensus) << latency.max_delay;
+    EXPECT_EQ(count.estimate, clean_count.estimate) << latency.max_delay;
+    const auto sum = drr_gossip_sum_extrema(n, values, 3, faults);
+    EXPECT_TRUE(sum.consensus) << latency.max_delay;
+    EXPECT_EQ(sum.estimate, clean_sum.estimate) << latency.max_delay;
+  }
 }
 
 TEST(Extrema, DefaultKIsLogarithmic) {

@@ -35,8 +35,8 @@ class FaultMatrix : public ::testing::TestWithParam<Params> {
     return v;
   }
 
-  sim::FaultModel faults() const {
-    return sim::FaultModel{std::get<0>(GetParam()), std::get<1>(GetParam())};
+  sim::FaultSchedule faults() const {
+    return sim::FaultSchedule{std::get<0>(GetParam()), std::get<1>(GetParam())};
   }
 
   std::uint64_t seed() const { return std::get<2>(GetParam()); }
@@ -110,7 +110,7 @@ TEST_P(FaultMatrix, CountInvariants) {
   // Exact only in the fault-free case: crashed nodes act as implicit
   // message loss for push-sum (a push landing on a dead node loses its
   // mass), so any fault setting can drift the single-source-denominator
-  // Count (see EXPERIMENTS.md).  Bound the drift loosely.
+  // Count.  Bound the drift loosely.
   if (std::get<0>(GetParam()) == 0.0 && std::get<1>(GetParam()) == 0.0) {
     EXPECT_NEAR(r.value, h.count, 0.05 * h.count + 1);
   } else {
