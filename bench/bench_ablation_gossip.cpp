@@ -36,10 +36,10 @@ struct CaseResult {
 CaseResult run_case(double gossip_mult, double sampling_mult) {
   RunningStat frac, msgs;
   int consensus = 0;
-  for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+  for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
     RngFactory rngs{seed};
     const DrrResult drr = run_drr(kN, rngs, sim::FaultSchedule{kDelta, 0.0});
-    const auto values = bench::make_values(kN, seed);
+    const auto values = workload::make_values(kN, seed);
     std::vector<std::uint64_t> keys(kN, kKeyBottom);
     std::uint64_t top = kKeyBottom;
     for (NodeId r : drr.forest.roots()) {

@@ -30,8 +30,8 @@ void BM_ProbeBudget(benchmark::State& state) {
   const auto budget = static_cast<std::uint32_t>(state.range(0));
   RunningStat trees, max_size, phase1, phase3, total, rounds;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
-      const auto values = bench::make_values(kN, seed);
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
+      const auto values = workload::make_values(kN, seed);
       DrrGossipConfig cfg;
       cfg.drr.probe_budget = budget;
       const auto r = drr_gossip_max(kN, values, seed, {}, cfg);
@@ -66,7 +66,7 @@ void BM_ProbeBudgetTreeShape(benchmark::State& state) {
   const auto budget = static_cast<std::uint32_t>(state.range(0));
   RunningStat size_max, height_max;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       RngFactory rngs{seed};
       DrrConfig cfg;
       cfg.probe_budget = budget;

@@ -27,10 +27,10 @@ void BM_ChordDrrGossipMax(benchmark::State& state) {
   RunningStat rounds, msgs;
   int ok = 0;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       ChordOverlay chord{n, seed};
       const Graph links = overlay_graph(chord);
-      const auto values = bench::make_values(n, seed);
+      const auto values = workload::make_values(n, seed);
       const auto r = sparse_drr_gossip_max(chord, links, values, seed);
       rounds.add(r.rounds_total);
       msgs.add(static_cast<double>(r.metrics.total().sent));
@@ -52,9 +52,9 @@ void BM_ChordUniformGossipMax(benchmark::State& state) {
   RunningStat rounds, msgs;
   int ok = 0;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       ChordOverlay chord{n, seed};
-      const auto values = bench::make_values(n, seed);
+      const auto values = workload::make_values(n, seed);
       const auto r = chord_uniform_push_max(chord, values, seed);
       rounds.add(r.rounds);
       msgs.add(static_cast<double>(r.counters.sent));
@@ -77,10 +77,10 @@ void BM_ChordMessageRatio(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   double drr_msgs = 0, uni_msgs = 0;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       ChordOverlay chord{n, seed};
       const Graph links = overlay_graph(chord);
-      const auto values = bench::make_values(n, seed);
+      const auto values = workload::make_values(n, seed);
       drr_msgs += static_cast<double>(
           sparse_drr_gossip_max(chord, links, values, seed).metrics.total().sent);
       uni_msgs +=

@@ -10,25 +10,8 @@
 // therefore run one iteration.
 //
 // Workload generation lives in support/workload.hpp so the benches, the
-// CLI, the examples and the tests all draw the same per-seed values; the
-// aliases below keep the historical bench:: spellings working.
+// CLI, the examples and the tests all draw the same per-seed values.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
-#include <vector>
-
 #include "support/workload.hpp"
-
-namespace drrg::bench {
-
-inline std::vector<double> make_values(std::uint32_t n, std::uint64_t seed) {
-  return workload::make_values(n, seed);
-}
-
-/// Seeds used for Monte-Carlo repetition inside one bench case.
-inline std::vector<std::uint64_t> trial_seeds(int trials, std::uint64_t base = 1000) {
-  return workload::trial_seeds(trials, base);
-}
-
-}  // namespace drrg::bench

@@ -22,7 +22,7 @@ void run_case(benchmark::State& state, double delta) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   RunningStat msgs, rounds, probes;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       RngFactory rngs{seed};
       const DrrResult r = run_drr(n, rngs, sim::FaultSchedule{delta, 0.0});
       msgs.add(static_cast<double>(r.counters.sent));

@@ -28,7 +28,7 @@ void BM_DrrForestShape(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   RunningStat trees, max_size, max_height;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       RngFactory rngs{seed};
       const DrrResult r = run_drr(n, rngs);
       trees.add(r.forest.num_trees());
@@ -56,7 +56,7 @@ void BM_DrrTreeSizeTail(benchmark::State& state) {
   double p50 = 0, p95 = 0, p100 = 0;
   for (auto _ : state) {
     std::vector<double> sizes;
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       RngFactory rngs{seed};
       const DrrResult r = run_drr(n, rngs);
       for (std::uint32_t s : r.forest.tree_sizes()) sizes.push_back(s);

@@ -44,7 +44,7 @@ void BM_MaxUnderLoss(benchmark::State& state) {
   int exact = 0, consensus = 0;
   RunningStat msgs;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       const auto r = api::run("drr", failure_spec(api::Aggregate::kMax, seed, delta, 0.0));
       exact += r.value == r.truth ? 1 : 0;
       consensus += r.consensus ? 1 : 0;
@@ -64,7 +64,7 @@ void BM_AveUnderLoss(benchmark::State& state) {
   RunningStat rel_err, msgs;
   int consensus = 0;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       const auto r = api::run(
           "drr", failure_spec(api::Aggregate::kAve, seed, delta, 0.0, /*robust=*/true));
       rel_err.add(r.rel_error());
@@ -85,7 +85,7 @@ void BM_MaxUnderCrashes(benchmark::State& state) {
   const double crash = static_cast<double>(state.range(0)) / 100.0;
   int exact = 0, consensus = 0;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       const auto r = api::run("drr", failure_spec(api::Aggregate::kMax, seed, 0.0, crash));
       // r.truth is the exact Max over the surviving nodes.
       exact += r.value == r.truth ? 1 : 0;
@@ -103,7 +103,7 @@ void BM_AveUnderCrashesAndLoss(benchmark::State& state) {
   const double crash = static_cast<double>(state.range(0)) / 100.0;
   RunningStat rel_err;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       const auto r = api::run(
           "drr", failure_spec(api::Aggregate::kAve, seed, 0.125, crash, /*robust=*/true));
       rel_err.add(r.rel_error());
@@ -123,7 +123,7 @@ void BM_CountUnderLoss(benchmark::State& state) {
   const double delta = static_cast<double>(state.range(0)) / 1000.0;
   RunningStat pushsum_err, extrema_err;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       const auto ps = api::run(
           "drr", failure_spec(api::Aggregate::kCount, seed, delta, 0.0, /*robust=*/true));
       pushsum_err.add(ps.rel_error());

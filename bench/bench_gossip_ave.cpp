@@ -37,7 +37,7 @@ struct AveRun {
 AveRun run_tracked(std::uint32_t n, std::uint64_t seed, double delta) {
   RngFactory rngs{seed};
   const DrrResult drr = run_drr(n, rngs, sim::FaultSchedule{delta, 0.0});
-  const auto values = bench::make_values(n, seed);
+  const auto values = workload::make_values(n, seed);
   std::vector<double> num0(n, 0.0), den0(n, 0.0);
   double ns = 0.0, ds = 0.0;
   for (NodeId r : drr.forest.roots()) {
@@ -58,7 +58,7 @@ void run_case(benchmark::State& state, double delta) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   RunningStat decay, err_final, rounds_to_eps;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       const AveRun run = run_tracked(n, seed, delta);
       const auto& phi = run.ps.potential_per_round;
       // Mean per-round decay over the window where Phi is well above

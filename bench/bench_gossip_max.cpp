@@ -30,10 +30,10 @@ void run_case(benchmark::State& state, double delta) {
   RunningStat frac_gossip, msgs, rounds;
   int consensus = 0;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       RngFactory rngs{seed};
       const DrrResult drr = run_drr(n, rngs, sim::FaultSchedule{delta, 0.0});
-      const auto values = bench::make_values(n, seed);
+      const auto values = workload::make_values(n, seed);
       std::vector<std::uint64_t> keys(n, kKeyBottom);
       std::uint64_t top = kKeyBottom;
       for (NodeId r : drr.forest.roots()) {
@@ -70,7 +70,7 @@ void BM_DataSpread(benchmark::State& state) {
   int full = 0;
   RunningStat msgs;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       RngFactory rngs{seed};
       const DrrResult drr = run_drr(n, rngs);
       const std::uint64_t key = encode_ordered(42.0);

@@ -58,7 +58,7 @@ void BM_LocalDrrShape(benchmark::State& state) {
   RunningStat trees, height, msgs;
   double predicted = 0.0;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       const Graph g = build_family(family, n, seed);
       predicted = g.inverse_degree_plus_one_sum();
       RngFactory rngs{seed};
@@ -86,7 +86,7 @@ void BM_LocalDrrPathHeight(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   RunningStat height;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(12)) {
+    for (std::uint64_t seed : workload::trial_seeds(12)) {
       RngFactory rngs{seed};
       const LocalDrrResult r = run_local_drr(make_path(n), rngs);
       height.add(r.forest.max_tree_height());

@@ -32,8 +32,8 @@ void BM_AddressObliviousMax(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   RunningStat msgs;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
-      const auto values = bench::make_values(n, seed);
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
+      const auto values = workload::make_values(n, seed);
       const auto r = uniform_push_max(n, values, seed);
       msgs.add(static_cast<double>(r.messages_to_consensus));
     }
@@ -48,8 +48,8 @@ void BM_NonAddressObliviousMax(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   RunningStat msgs;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
-      const auto values = bench::make_values(n, seed);
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
+      const auto values = workload::make_values(n, seed);
       const auto r = drr_gossip_max(n, values, seed);
       msgs.add(static_cast<double>(r.metrics.total().sent));
     }
@@ -66,7 +66,7 @@ void BM_RumorSpreading(benchmark::State& state) {
   double informed_rate = 0.0;
   for (auto _ : state) {
     int all = 0;
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
       const auto r = karp_push_pull(n, seed);
       transmissions.add(static_cast<double>(r.transmissions));
       all += r.all_informed ? 1 : 0;
@@ -87,8 +87,8 @@ void BM_Separation(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   double ao = 0, drr = 0;
   for (auto _ : state) {
-    for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
-      const auto values = bench::make_values(n, seed);
+    for (std::uint64_t seed : workload::trial_seeds(kTrials)) {
+      const auto values = workload::make_values(n, seed);
       ao += static_cast<double>(uniform_push_max(n, values, seed).messages_to_consensus);
       drr += static_cast<double>(drr_gossip_max(n, values, seed).metrics.total().sent);
     }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "aggregate/drr_gossip.hpp"
 #include "drr/drr.hpp"
 #include "rootgossip/gossip_max_protocol.hpp"
 #include "support/mathutil.hpp"
@@ -58,7 +59,10 @@ ExtremaOutcome run_extrema(std::uint32_t n, std::span<const double> rates,
   out.counters += cc.counters;
   out.rounds_total += cc.rounds;
 
-  // Phase III: Gossip-max among the roots with componentwise-min absorption.
+  // Phase III: Gossip-max among the roots with componentwise-min absorption,
+  // on the DRR pipelines' substrate-scaled budget (default multiplier).
+  config.gossip.round_budget_scale *=
+      detail::phase3_scale(n, scenario, DrrGossipConfig{}.phase3_diameter_multiplier);
   std::vector<MinVec> folded(n);
   for (NodeId v = 0; v < n; ++v) folded[v] = std::move(cc.node[v].acc);
   const detail::GossipMaxRun<MinVec> gm = detail::run_gossip_max_of(

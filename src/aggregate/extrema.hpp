@@ -40,7 +40,9 @@ struct ExtremaConfig {
   /// Number of exponentials per node; 0 = 4 * ceil(log2 n).
   std::uint32_t k = 0;
   /// Phase III schedule and member relay (the Gossip-max config; its
-  /// stream_tag is unused, extrema keeps its own stream purposes).
+  /// stream_tag is unused, extrema keeps its own stream purposes).  The
+  /// round budget is further scaled to the substrate and latency exactly
+  /// as in the DRR pipelines (default diameter multiplier).
   GossipMaxConfig gossip;
 };
 

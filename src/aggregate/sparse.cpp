@@ -6,13 +6,12 @@
 #include <utility>
 #include <vector>
 
+#include "aggregate/drr_gossip.hpp"
 #include "aggregate/routing.hpp"
 #include "rootgossip/ordered_key.hpp"
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
 #include "support/scratch.hpp"
-#include "trees/broadcast.hpp"
-#include "trees/convergecast.hpp"
 
 namespace drrg {
 
@@ -36,18 +35,12 @@ Graph overlay_graph(const ChordOverlay& chord) {
 
 namespace {
 
-constexpr double kAgreeTolerance = 1e-9;
-
 // Pooled payload-staging slots (support/scratch.hpp).  Distinct tags for
 // buffers whose lifetimes overlap within one pipeline run; contents are
 // fully rewritten by assign() before every use.
 enum ScratchTag : int {
-  kScratchAddrPayload,
-  kScratchValuePayload,
   kScratchKeys,
   kScratchRootValue,
-  kScratchNum0,
-  kScratchDen0,
   kScratchSpreadKeys,
   kScratchSpreadAux,
 };
@@ -577,69 +570,36 @@ SparsePsResult run_sparse_push_sum(std::uint32_t n, const SparseRouter& router,
 // ---------------------------------------------------------------------------
 // Shared pipeline scaffolding.
 
-struct SparsePhase12 {
-  LocalDrrResult drr;
-  ConvergecastResult cc;
-  BroadcastResult addr;
-  std::uint32_t end_round = 0;  ///< global clock after Phase II
-};
+/// The tree broadcasts' config: a node reaches all of its children (graph
+/// neighbors) in one round (§4 Assumption 1).
+BroadcastConfig tree_broadcast(const SparseGossipConfig& config) {
+  BroadcastConfig cfg = config.broadcast;
+  cfg.simultaneous_children = true;
+  return cfg;
+}
 
-/// Phases I and II.  Each phase's Network starts where the previous one
-/// stopped on the scenario's global clock, so one churn schedule spans
-/// the whole pipeline.
+using SparsePhase12 = detail::Phase12<LocalDrrResult>;
+
+/// Phases I and II: Local-DRR, then convergecast and the root-address
+/// broadcast along the tree edges.
 SparsePhase12 run_sparse_phase12(const Graph& links, std::span<const double> values,
                                  ConvergecastOp op, const RngFactory& rngs,
                                  const sim::Scenario& scenario,
                                  const SparseGossipConfig& config) {
-  SparsePhase12 p;
-  std::uint32_t clock = scenario.start_round;
-  p.drr = run_local_drr(links, rngs, scenario, config.local_drr);
-  clock += p.drr.rounds;
-  p.cc = run_convergecast(p.drr.forest, values, op, rngs, scenario.at_round(clock),
-                          config.convergecast);
-  clock += p.cc.rounds;
-  std::vector<double>& addr_payload =
-      support::scratch_buffer<double, kScratchAddrPayload>();
-  addr_payload.assign(links.size(), 0.0);
-  for (NodeId r : p.drr.forest.roots()) addr_payload[r] = static_cast<double>(r);
-  BroadcastConfig addr_cfg = config.broadcast;
-  addr_cfg.simultaneous_children = true;
-  addr_cfg.stream_tag = derive_seed(addr_cfg.stream_tag, 1);
-  p.addr = run_broadcast(p.drr.forest, addr_payload, rngs, scenario.at_round(clock),
-                         addr_cfg);
-  p.end_round = clock + p.addr.rounds;
-  return p;
+  return {run_local_drr(links, rngs, scenario, config.local_drr), values, op, rngs,
+          scenario, config.convergecast, tree_broadcast(config)};
 }
 
-void fill_summary(const Forest& f, AggregateOutcome& out) {
-  out.forest.num_trees = f.num_trees();
-  out.forest.max_tree_size = f.max_tree_size();
-  out.forest.max_tree_height = f.max_tree_height();
-  out.forest.largest_tree_root = f.largest_tree_root();
-  out.participating.assign(f.size(), false);
-  for (NodeId v = 0; v < f.size(); ++v) out.participating[v] = f.is_member(v);
-}
-
-void sparse_finish(std::uint32_t n, const Forest& forest,
-                   std::span<const double> root_value, const RngFactory& rngs,
-                   const sim::Scenario& scenario, const SparseGossipConfig& config,
-                   AggregateOutcome& out) {
-  bool bc_incomplete = false;
-  if (config.broadcast_result) {
-    BroadcastConfig value_cfg = config.broadcast;
-    value_cfg.simultaneous_children = true;
-    value_cfg.stream_tag = derive_seed(value_cfg.stream_tag, 2);
-    std::vector<double>& payload =
-        support::scratch_buffer<double, kScratchValuePayload>();
-    payload.assign(root_value.begin(), root_value.end());
-    const BroadcastResult bc = run_broadcast(
-        forest, payload, rngs,
-        scenario.at_round(scenario.start_round + out.rounds_total), value_cfg);
-    out.metrics.value_broadcast = bc.counters;
-    out.rounds_total += bc.rounds;
-    out.per_node = bc.received;
-    bc_incomplete = !bc.complete;
-  }
+AggregateOutcome sparse_finish(SparsePhase12& p, std::span<const double> root_value,
+                               const RngFactory& rngs, const sim::Scenario& scenario,
+                               const SparseGossipConfig& config) {
+  const Forest& forest = p.drr.forest;
+  const std::uint32_t n = forest.size();
+  AggregateOutcome& out = p.out;
+  const bool bc_incomplete =
+      config.broadcast_result &&
+      !detail::broadcast_value(forest, root_value, rngs, scenario, tree_broadcast(config),
+                               out);
 
   // Consensus is judged among the roots that survive the *whole* run
   // (value-broadcast rounds included, so the reported value never
@@ -665,14 +625,14 @@ void sparse_finish(std::uint32_t n, const Forest& forest,
   }
   if (agree_root == kNoParent) {  // every root died: no consensus to report
     out.consensus = false;
-    return;
+    return std::move(out);
   }
   out.consensus = true;
   const double ref = root_value[agree_root];
   for (NodeId r : forest.roots()) {
     if (!alive.empty() && !alive[r]) continue;
     const double scale = std::max({std::fabs(ref), std::fabs(root_value[r]), 1.0});
-    if (std::fabs(root_value[r] - ref) > kAgreeTolerance * scale) {
+    if (std::fabs(root_value[r] - ref) > detail::kAgreeTolerance * scale) {
       out.consensus = false;
       break;
     }
@@ -683,6 +643,7 @@ void sparse_finish(std::uint32_t n, const Forest& forest,
   // criterion then.  Otherwise incompleteness means retry exhaustion.
   if (bc_incomplete && !scenario.faults.has_churn() && !scenario.faults.has_blocks())
     out.consensus = false;
+  return std::move(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -695,18 +656,10 @@ AggregateOutcome sparse_max_pipeline(std::uint32_t n, const Graph& links,
                                      const SparseGossipConfig& config) {
   if (values.size() < n) throw std::invalid_argument("sparse_drr_gossip: values too short");
   RngFactory rngs{seed};
-
-  SparsePhase12 p = run_sparse_phase12(links, values, ConvergecastOp::kMax, rngs,
-                                       scenario, config);
+  SparsePhase12 p =
+      run_sparse_phase12(links, values, ConvergecastOp::kMax, rngs, scenario, config);
   const Forest& forest = p.drr.forest;
-
-  AggregateOutcome out;
-  fill_summary(forest, out);
-  out.metrics.drr = p.drr.counters;
-  out.metrics.convergecast = p.cc.counters;
-  out.metrics.root_broadcast = p.addr.counters;
-  out.rounds_total = p.drr.rounds + p.cc.rounds + p.addr.rounds;
-  if (forest.roots().empty()) return out;
+  if (forest.roots().empty()) return std::move(p.out);
 
   std::vector<std::uint64_t>& keys =
       support::scratch_buffer<std::uint64_t, kScratchKeys>();
@@ -714,17 +667,16 @@ AggregateOutcome sparse_max_pipeline(std::uint32_t n, const Graph& links,
   for (NodeId r : forest.roots()) keys[r] = encode_ordered(p.cc.aggregate[r]);
   GossipMaxConfig gm_cfg = config.gossip_max;
   gm_cfg.stream_tag = derive_seed(gm_cfg.stream_tag, 3);
-  const SparseGmResult gm = run_sparse_gossip_max(
-      n, router, forest, keys, rngs, scenario.at_round(p.end_round), gm_cfg);
-  out.metrics.gossip = gm.counters;
-  out.rounds_total += gm.rounds;
+  const SparseGmResult gm =
+      run_sparse_gossip_max(n, router, forest, keys, rngs, p.resume(scenario), gm_cfg);
+  p.out.metrics.gossip = gm.counters;
+  p.out.rounds_total += gm.rounds;
 
   std::vector<double>& root_value =
       support::scratch_buffer<double, kScratchRootValue>();
   root_value.assign(n, 0.0);
   for (NodeId r : forest.roots()) root_value[r] = decode_ordered(gm.key[r]);
-  sparse_finish(n, forest, root_value, rngs, scenario, config, out);
-  return out;
+  return sparse_finish(p, root_value, rngs, scenario, config);
 }
 
 AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
@@ -734,34 +686,19 @@ AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
                                      const SparseGossipConfig& config) {
   if (values.size() < n) throw std::invalid_argument("sparse_drr_gossip: values too short");
   RngFactory rngs{seed};
-
-  SparsePhase12 p = run_sparse_phase12(links, values, ConvergecastOp::kSum, rngs,
-                                       scenario, config);
+  SparsePhase12 p =
+      run_sparse_phase12(links, values, ConvergecastOp::kSum, rngs, scenario, config);
   const Forest& forest = p.drr.forest;
+  if (forest.roots().empty()) return std::move(p.out);
 
-  AggregateOutcome out;
-  fill_summary(forest, out);
-  out.metrics.drr = p.drr.counters;
-  out.metrics.convergecast = p.cc.counters;
-  out.metrics.root_broadcast = p.addr.counters;
-  out.rounds_total = p.drr.rounds + p.cc.rounds + p.addr.rounds;
-  if (forest.roots().empty()) return out;
-
-  // Phase III(a): push-sum on (local sum, tree size).
-  std::vector<double>& num0 = support::scratch_buffer<double, kScratchNum0>();
-  std::vector<double>& den0 = support::scratch_buffer<double, kScratchDen0>();
-  num0.assign(n, 0.0);
-  den0.assign(n, 0.0);
-  for (NodeId r : forest.roots()) {
-    num0[r] = p.cc.aggregate[r];
-    den0[r] = p.cc.weight[r];
-  }
+  // Phase III(a): push-sum on (local sum, tree size); non-root entries
+  // are ignored.
   PushSumConfig ps_cfg = config.push_sum;
   ps_cfg.stream_tag = derive_seed(ps_cfg.stream_tag, 5);
-  const SparsePsResult ps = run_sparse_push_sum(
-      n, router, forest, num0, den0, rngs, scenario.at_round(p.end_round), ps_cfg);
-  out.metrics.gossip = ps.counters;
-  out.rounds_total += ps.rounds;
+  const SparsePsResult ps = run_sparse_push_sum(n, router, forest, p.cc.aggregate,
+                                                p.cc.weight, rngs, p.resume(scenario), ps_cfg);
+  p.out.metrics.gossip = ps.counters;
+  p.out.rounds_total += ps.rounds;
 
   // Phase III(b): elect-and-spread.  Algorithm 8 first elects z (gossip-
   // max on (tree size, id)), then data-spreads z's estimate; that shape
@@ -787,18 +724,16 @@ AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
   GossipMaxConfig spread_cfg = config.gossip_max;
   spread_cfg.stream_tag = derive_seed(spread_cfg.stream_tag, 6);
   const SparseGmResult spread = run_sparse_gossip_max(
-      n, router, forest, spread_keys, rngs,
-      scenario.at_round(p.end_round + ps.rounds), spread_cfg, spread_aux);
-  out.metrics.spread = spread.counters;
-  out.rounds_total += spread.rounds;
+      n, router, forest, spread_keys, rngs, p.resume(scenario), spread_cfg, spread_aux);
+  p.out.metrics.spread = spread.counters;
+  p.out.rounds_total += spread.rounds;
 
   std::vector<double>& root_value =
       support::scratch_buffer<double, kScratchRootValue>();
   root_value.assign(n, 0.0);
   for (NodeId r : forest.roots())
     root_value[r] = spread.key[r] == kKeyBottom ? 0.0 : decode_ordered(spread.aux[r]);
-  sparse_finish(n, forest, root_value, rngs, scenario, config, out);
-  return out;
+  return sparse_finish(p, root_value, rngs, scenario, config);
 }
 
 void check_chord_args(const ChordOverlay& chord, const Graph& links,

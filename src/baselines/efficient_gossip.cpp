@@ -1,11 +1,9 @@
 #include "baselines/efficient_gossip.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "forest/forest.hpp"
-#include "rootgossip/ordered_key.hpp"
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
 
@@ -353,21 +351,48 @@ MergeOutcome run_merge_stages(std::uint32_t n, std::span<const double> values,
   return out;
 }
 
-void fetch_results(const MergeOutcome& merge, std::span<const double> leader_value,
-                   const RngFactory& rngs, const sim::Scenario& scenario,
-                   const EfficientGossipConfig& config, EfficientGossipResult& out) {
-  // Members fetch the result from their (now known) leader: one direct
-  // query + direct reply each.
-  std::vector<double> answer(leader_value.begin(), leader_value.end());
+EfficientGossipResult begin_result(const MergeOutcome& merge) {
+  EfficientGossipResult out;
+  out.counters = merge.counters;
+  out.rounds_total = merge.rounds;
+  out.num_groups = merge.forest.num_trees();
+  out.max_group_size = merge.forest.max_tree_size();
+  return out;
+}
+
+/// The scenario resumed after every stage run so far.
+sim::Scenario resume(const sim::Scenario& scenario, const EfficientGossipResult& out) {
+  return scenario.at_round(scenario.start_round + out.rounds_total);
+}
+
+/// `cfg` with its stream tag salted by `tag`.
+template <class Config>
+Config tagged(Config cfg, std::uint64_t tag) {
+  cfg.stream_tag = derive_seed(cfg.stream_tag, tag);
+  return cfg;
+}
+
+/// Leaders agree iff they hold the same final key, and unresolved leader
+/// addresses break consensus too.  Members then fetch the result from
+/// their (now known) leader: one direct query + direct reply each.
+void finish(const MergeOutcome& merge, std::span<const std::uint64_t> key,
+            std::span<const double> leader_value, const RngFactory& rngs,
+            const sim::Scenario& scenario, const EfficientGossipConfig& config,
+            EfficientGossipResult& out) {
+  out.consensus = merge.resolution_complete;
+  for (NodeId r : merge.forest.roots())
+    if (key[r] != key[merge.forest.roots().front()]) out.consensus = false;
+  out.value = leader_value[merge.forest.largest_tree_root()];
+
   const QueryOutcome fetch =
-      run_query(merge.parent, answer, rngs, scenario, /*timeout=*/2,
+      run_query(merge.parent, leader_value, rngs, resume(scenario, out), /*timeout=*/2,
                 config.query_attempt_cap, /*direct=*/true, merge.leader, 0xfe7c);
   out.counters += fetch.counters;
   out.rounds_total += fetch.rounds;
   out.per_node.assign(merge.parent.size(), 0.0);
   for (std::size_t v = 0; v < merge.parent.size(); ++v) {
     if (merge.parent[v] == kNoParent) {
-      out.per_node[v] = answer[v];
+      out.per_node[v] = leader_value[v];
     } else if (fetch.resolved[v]) {
       out.per_node[v] = fetch.received[v];
     } else {
@@ -385,36 +410,17 @@ EfficientGossipResult efficient_gossip_max(std::uint32_t n,
   if (values.size() < n) throw std::invalid_argument("efficient_gossip: values too short");
   RngFactory rngs{seed};
   MergeOutcome merge = run_merge_stages(n, values, rngs, scenario, config);
+  EfficientGossipResult out = begin_result(merge);
 
-  EfficientGossipResult out;
-  out.counters = merge.counters;
-  out.rounds_total = merge.rounds;
-  out.num_groups = merge.forest.num_trees();
-  out.max_group_size = merge.forest.max_tree_size();
-
-  // Leaders gossip their group maxima (same machinery as DRR Phase III);
-  // every later phase resumes the scenario's global clock.
-  auto clock = [&scenario, &out] {
-    return scenario.at_round(scenario.start_round + out.rounds_total);
-  };
-  std::vector<std::uint64_t> keys(n, kKeyBottom);
-  for (NodeId r : merge.forest.roots()) keys[r] = encode_ordered(merge.mx[r]);
-  GossipMaxConfig gm_cfg = config.gossip_max;
-  gm_cfg.stream_tag = derive_seed(gm_cfg.stream_tag, 0xe91);
-  const GossipMaxResult gm = run_gossip_max(merge.forest, keys, rngs, clock(), gm_cfg);
+  // Leaders gossip their group maxima (the DRR pipelines' Phase III);
+  // every later stage resumes the scenario's global clock.
+  std::vector<double> leader_value;
+  const GossipMaxResult gm =
+      gossip_max_of_values(merge.forest, merge.mx, leader_value, rngs, resume(scenario, out),
+                           tagged(config.gossip_max, 0xe91));
   out.counters += gm.counters;
   out.rounds_total += gm.rounds;
-
-  std::vector<double> leader_value(n, 0.0);
-  out.consensus = true;
-  for (NodeId r : merge.forest.roots()) {
-    leader_value[r] = decode_ordered(gm.key[r]);
-    if (gm.key[r] != gm.key[merge.forest.roots().front()]) out.consensus = false;
-  }
-  out.value = leader_value[merge.forest.largest_tree_root()];
-  if (!merge.resolution_complete) out.consensus = false;
-
-  fetch_results(merge, leader_value, rngs, clock(), config, out);
+  finish(merge, gm.key, leader_value, rngs, scenario, config, out);
   return out;
 }
 
@@ -425,57 +431,19 @@ EfficientGossipResult efficient_gossip_ave(std::uint32_t n,
   if (values.size() < n) throw std::invalid_argument("efficient_gossip: values too short");
   RngFactory rngs{seed};
   MergeOutcome merge = run_merge_stages(n, values, rngs, scenario, config);
+  EfficientGossipResult out = begin_result(merge);
 
-  EfficientGossipResult out;
-  out.counters = merge.counters;
-  out.rounds_total = merge.rounds;
-  out.num_groups = merge.forest.num_trees();
-  out.max_group_size = merge.forest.max_tree_size();
-
-  // Elect the largest group, push-sum the (sum, count) pairs, spread the
-  // elected leader's estimate -- the Algorithm 8 shape over groups; every
-  // later phase resumes the scenario's global clock.
-  auto clock = [&scenario, &out] {
-    return scenario.at_round(scenario.start_round + out.rounds_total);
-  };
-  std::vector<std::uint64_t> size_keys(n, kKeyBottom);
-  for (NodeId r : merge.forest.roots())
-    size_keys[r] = encode_size_id(static_cast<std::uint32_t>(merge.cnt[r]), r);
-  GossipMaxConfig gm_cfg = config.gossip_max;
-  gm_cfg.stream_tag = derive_seed(gm_cfg.stream_tag, 0xe92);
-  const GossipMaxResult election =
-      run_gossip_max(merge.forest, size_keys, rngs, clock(), gm_cfg);
-  out.counters += election.counters;
-  out.rounds_total += election.rounds;
-
-  PushSumConfig ps_cfg = config.push_sum;
-  ps_cfg.stream_tag = derive_seed(ps_cfg.stream_tag, 0xe93);
-  const PushSumResult ps =
-      run_root_push_sum(merge.forest, merge.sum, merge.cnt, rngs, clock(), ps_cfg);
-  out.counters += ps.counters;
-  out.rounds_total += ps.rounds;
-
-  std::vector<std::uint64_t> spread_init(n, kKeyBottom);
-  for (NodeId r : merge.forest.roots())
-    if (election.key[r] == size_keys[r] && ps.den[r] > 0.0)
-      spread_init[r] = encode_ordered(ps.num[r] / ps.den[r]);
-  GossipMaxConfig spread_cfg = config.gossip_max;
-  spread_cfg.stream_tag = derive_seed(spread_cfg.stream_tag, 0xe94);
-  const GossipMaxResult spread =
-      run_gossip_max(merge.forest, spread_init, rngs, clock(), spread_cfg);
-  out.counters += spread.counters;
-  out.rounds_total += spread.rounds;
-
-  std::vector<double> leader_value(n, 0.0);
-  out.consensus = true;
-  for (NodeId r : merge.forest.roots()) {
-    leader_value[r] = spread.key[r] == kKeyBottom ? 0.0 : decode_ordered(spread.key[r]);
-    if (spread.key[r] != spread.key[merge.forest.roots().front()]) out.consensus = false;
-  }
-  out.value = leader_value[merge.forest.largest_tree_root()];
-  if (!merge.resolution_complete) out.consensus = false;
-
-  fetch_results(merge, leader_value, rngs, clock(), config, out);
+  // The Algorithm 8 shape over groups: elect the largest group, push-sum
+  // the (sum, count) pairs, spread the elected leader's estimate.
+  std::vector<double> leader_value;
+  const RootAverageResult avg = average_over_roots(
+      merge.forest, merge.sum, merge.cnt, /*sum_mode=*/false, leader_value, rngs,
+      resume(scenario, out), tagged(config.gossip_max, 0xe92),
+      tagged(config.push_sum, 0xe93), tagged(config.gossip_max, 0xe94));
+  out.counters += avg.gossip;
+  out.counters += avg.spread;
+  out.rounds_total += avg.rounds;
+  finish(merge, avg.key, leader_value, rngs, scenario, config, out);
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
@@ -21,14 +22,23 @@ struct DrrMsg {
 /// (implicit in the call); replies carry a rank (an O(log n)-bit
 /// discretised value suffices -- see Algorithm 1's remark that ranks from
 /// [1, n^3] give the same bounds, i.e. 3 log n bits).
+///
+/// The protocol owns Algorithm 1's rules (what a node does this round, a
+/// probe answer, an acknowledged connect, the end-of-round root rule) and
+/// the result packaging; the engine upcalls and the flat executor below
+/// both call those members.
 struct DrrProtocol {
-  explicit DrrProtocol(std::uint32_t n, const DrrConfig& cfg)
-      : budget(cfg.probe_budget != 0 ? cfg.probe_budget : drr_probe_budget(n)),
+  enum class Action : std::uint8_t { kIdle, kConnect, kProbe };
+
+  DrrProtocol(std::uint32_t n_, const DrrConfig& cfg, bool complete_graph)
+      : n(n_),
+        complete(complete_graph),
+        budget(cfg.probe_budget != 0 ? cfg.probe_budget : drr_probe_budget(n_)),
         connect_cap(cfg.connect_attempt_cap),
-        rank_bits(3 * address_bits(n)),
-        addr_bits(address_bits(n)),
-        rank(n, 0.0),
-        state(n) {}
+        rank_bits(3 * address_bits(n_)),
+        addr_bits(address_bits(n_)),
+        rank(n_, 0.0),
+        state(n_) {}
 
   struct NodeState {
     std::uint32_t attempts = 0;         // probes consumed
@@ -39,6 +49,8 @@ struct DrrProtocol {
     bool settled = false;
   };
 
+  std::uint32_t n;
+  bool complete;
   std::uint32_t budget;
   std::uint32_t connect_cap;
   std::uint32_t rank_bits;
@@ -50,18 +62,19 @@ struct DrrProtocol {
   std::vector<NodeState> state;
   std::vector<sim::NodeId> active;  // unsettled nodes, ascending
   std::uint64_t total_probes = 0;
-  std::uint32_t unsettled = 0;  // maintained by the runner
+  std::uint32_t unsettled = 0;
 
-  void init_ranks(sim::Network<DrrMsg>& net) {
-    for (sim::NodeId v : net.alive_nodes()) rank[v] = net.node_rng(v).next_unit();
-    unsettled = static_cast<std::uint32_t>(net.alive_nodes().size());
-    active = net.alive_nodes();
+  /// Each node's first draw is its rank; `nodes` (ascending) start active.
+  template <class RngOf>
+  void draw_ranks(std::vector<sim::NodeId> nodes, RngOf&& rng_of) {
+    for (sim::NodeId v : nodes) rank[v] = rng_of(v).next_unit();
+    unsettled = static_cast<std::uint32_t>(nodes.size());
+    active = std::move(nodes);
   }
 
   /// Settled nodes are pure no-ops in on_round/on_round_end; handing the
   /// engine the shrinking unsettled list keeps the late rounds (few
-  /// stragglers retrying connects) from scanning all n nodes.  Pruned in
-  /// done(), which runs between rounds -- never while the engine iterates.
+  /// stragglers retrying connects) from scanning all n nodes.
   [[nodiscard]] std::span<const sim::NodeId> active_nodes() const noexcept {
     return active;
   }
@@ -73,63 +86,47 @@ struct DrrProtocol {
     }
   }
 
-  void on_round(sim::Network<DrrMsg>& net, sim::NodeId v) {
+  /// Rule: a node calls its chosen parent until acknowledged, else probes
+  /// while its budget lasts.
+  Action begin_round(sim::NodeId v) {
     NodeState& s = state[v];
-    if (s.settled) return;
+    if (s.settled) return Action::kIdle;
     if (s.pending_parent != sim::kNoNode) {
-      // Connection phase: call the chosen parent until acknowledged.
       ++s.connect_attempts;
-      net.send(v, s.pending_parent, DrrMsg{DrrMsg::Kind::kConnect, 0.0}, addr_bits);
-      return;
+      return Action::kConnect;
     }
-    if (s.attempts < budget) {
-      // Probe a random peer of the scenario topology.
-      sim::NodeId u = net.sample_peer(v);
-      // Self-samples tell us nothing; on the complete graph skip them
-      // cheaply (the analysis assumes distinct samples whp).  On an
-      // explicit topology only an isolated node self-samples: its probe
-      // is a spent attempt and it becomes a root by exhaustion.
-      if (u == v && net.topology().is_complete()) u = (u + 1) % net.size();
-      s.probe_outstanding = true;
-      ++total_probes;
-      net.send(v, u, DrrMsg{DrrMsg::Kind::kProbe, 0.0}, addr_bits);
-    }
+    if (s.attempts >= budget) return Action::kIdle;
+    s.probe_outstanding = true;
+    ++total_probes;
+    return Action::kProbe;
   }
 
-  void on_message(sim::Network<DrrMsg>& net, sim::NodeId src, sim::NodeId dst,
-                  const DrrMsg& m) {
-    switch (m.kind) {
-      case DrrMsg::Kind::kProbe:
-        net.reply(dst, src, DrrMsg{DrrMsg::Kind::kProbeReply, rank[dst]}, rank_bits);
-        break;
-      case DrrMsg::Kind::kConnect:
-        // Record the child; duplicates from retries are idempotent because
-        // children are reconstructed from child->parent pointers later.
-        net.reply(dst, src, DrrMsg{DrrMsg::Kind::kConnectAck, 0.0}, addr_bits);
-        break;
-      default:
-        break;  // replies handled in on_reply
-    }
+  /// Self-samples tell us nothing; on the complete graph skip them cheaply
+  /// (the analysis assumes distinct samples whp).  On an explicit topology
+  /// only an isolated node self-samples: its probe is a spent attempt and
+  /// it becomes a root by exhaustion.
+  [[nodiscard]] sim::NodeId probe_target(sim::NodeId v, sim::NodeId sampled) const {
+    return sampled == v && complete ? (sampled + 1) % n : sampled;
   }
 
-  void on_reply(sim::Network<DrrMsg>&, sim::NodeId src, sim::NodeId dst, const DrrMsg& m) {
-    NodeState& s = state[dst];
-    switch (m.kind) {
-      case DrrMsg::Kind::kProbeReply:
-        s.probe_outstanding = false;
-        ++s.attempts;
-        if (m.rank > rank[dst]) s.pending_parent = src;
-        break;
-      case DrrMsg::Kind::kConnectAck:
-        s.parent = src;
-        settle(s);
-        break;
-      default:
-        break;
-    }
+  /// Rule: a probe of u answered with u's rank; a higher rank makes u the
+  /// pending parent.
+  void probe_answered(sim::NodeId v, sim::NodeId u, double rank_u) {
+    NodeState& s = state[v];
+    s.probe_outstanding = false;
+    ++s.attempts;
+    if (rank_u > rank[v]) s.pending_parent = u;
   }
 
-  void on_round_end(sim::Network<DrrMsg>&, sim::NodeId v) {
+  /// Rule: the connect to `parent` was acknowledged.  Duplicates from
+  /// retries are idempotent: children are rebuilt from parent pointers.
+  void connected(sim::NodeId v, sim::NodeId parent) {
+    state[v].parent = parent;
+    settle(state[v]);
+  }
+
+  /// End-of-round root rule.
+  void end_round(sim::NodeId v) {
     NodeState& s = state[v];
     if (s.settled) return;
     if (s.probe_outstanding) {
@@ -145,12 +142,68 @@ struct DrrProtocol {
     if (s.attempts >= budget) settle(s);  // no higher-ranked node found: root
   }
 
-  [[nodiscard]] bool done(const sim::Network<DrrMsg>&) {
+  /// Drops settled nodes from the active list (between rounds, never
+  /// while a round loop iterates it); true once every node has settled.
+  bool prune() {
     active.erase(std::remove_if(active.begin(), active.end(),
                                 [this](sim::NodeId v) { return state[v].settled; }),
                  active.end());
     return unsettled == 0;
   }
+
+  /// The forest over the nodes `alive` at the end.  A parent that crashed
+  /// mid-phase (churn) is gone: its orphaned child becomes a root, exactly
+  /// as if the connection had never been acked.
+  template <class Alive>
+  DrrResult result(Alive&& alive, const sim::Counters& counters, std::uint32_t rounds) {
+    std::vector<NodeId> parent(n, kNoParent);
+    std::vector<bool> member(n, false);
+    for (NodeId v = 0; v < n; ++v) {
+      if (!alive(v)) {
+        rank[v] = 0.0;
+        continue;
+      }
+      member[v] = true;
+      parent[v] = state[v].parent;
+      if (parent[v] != kNoParent && !alive(parent[v])) parent[v] = kNoParent;
+    }
+    return {Forest::from_parents(std::move(parent), std::move(member)), std::move(rank),
+            counters, total_probes, rounds};
+  }
+
+  /// Probe budget rounds plus connection retries; the +2 covers the final
+  /// connect/ack exchange.  Both executors usually stop earlier.
+  [[nodiscard]] std::uint32_t max_rounds() const { return budget + connect_cap + 2; }
+
+  // --- engine upcalls -----------------------------------------------------
+
+  void on_round(sim::Network<DrrMsg>& net, sim::NodeId v) {
+    const Action action = begin_round(v);
+    if (action == Action::kConnect)
+      net.send(v, state[v].pending_parent, DrrMsg{DrrMsg::Kind::kConnect, 0.0}, addr_bits);
+    else if (action == Action::kProbe)
+      net.send(v, probe_target(v, net.sample_peer(v)), DrrMsg{DrrMsg::Kind::kProbe, 0.0},
+               addr_bits);
+  }
+
+  void on_message(sim::Network<DrrMsg>& net, sim::NodeId src, sim::NodeId dst,
+                  const DrrMsg& m) {
+    if (m.kind == DrrMsg::Kind::kProbe)
+      net.reply(dst, src, DrrMsg{DrrMsg::Kind::kProbeReply, rank[dst]}, rank_bits);
+    else if (m.kind == DrrMsg::Kind::kConnect)
+      net.reply(dst, src, DrrMsg{DrrMsg::Kind::kConnectAck, 0.0}, addr_bits);
+  }
+
+  void on_reply(sim::Network<DrrMsg>&, sim::NodeId src, sim::NodeId dst, const DrrMsg& m) {
+    if (m.kind == DrrMsg::Kind::kProbeReply)
+      probe_answered(dst, src, m.rank);
+    else if (m.kind == DrrMsg::Kind::kConnectAck)
+      connected(dst, src);
+  }
+
+  void on_round_end(sim::Network<DrrMsg>&, sim::NodeId v) { end_round(v); }
+
+  [[nodiscard]] bool done(const sim::Network<DrrMsg>&) { return prune(); }
 };
 
 /// Flat fault-free executor.  With no losses possible, every probe is
@@ -165,69 +218,41 @@ struct DrrProtocol {
 DrrResult run_drr_flat(std::uint32_t n, const RngFactory& rngs,
                        const sim::Scenario& scenario, const DrrConfig& config,
                        std::uint64_t purpose) {
-  DrrProtocol proto{n, config};
-  const sim::Topology& topology = scenario.topology;
-  const bool complete = topology.is_complete();
-
-  // One stream per node, first draw the rank -- the engine's init_ranks.
+  DrrProtocol proto{n, config, scenario.topology.is_complete()};
   std::vector<Rng> rng;
   rng.reserve(n);
   for (NodeId v = 0; v < n; ++v) rng.push_back(rngs.node_stream(v, purpose));
-  for (NodeId v = 0; v < n; ++v) proto.rank[v] = rng[v].next_unit();
-  proto.unsettled = n;
-  proto.active.resize(n);
-  for (NodeId v = 0; v < n; ++v) proto.active[v] = v;
+  std::vector<sim::NodeId> everyone(n);
+  for (NodeId v = 0; v < n; ++v) everyone[v] = v;
+  proto.draw_ranks(std::move(everyone), [&rng](NodeId v) -> Rng& { return rng[v]; });
 
-  std::uint64_t probes = 0;    // probe + rank-reply exchanges
   std::uint64_t connects = 0;  // connect + ack exchanges
-  const sim::Topology::PeerSampler sample = topology.sampler(n);
-  const double* rank_of = proto.rank.data();
-  const std::uint32_t max_rounds = proto.budget + config.connect_attempt_cap + 2;
+  const sim::Topology::PeerSampler sample = scenario.topology.sampler(n);
   std::uint32_t rounds = 0;
-  for (std::uint32_t r = 0; r < max_rounds; ++r) {
+  while (rounds < proto.max_rounds()) {
     ++rounds;
     for (NodeId v : proto.active) {
-      DrrProtocol::NodeState& s = proto.state[v];
-      if (s.pending_parent != sim::kNoNode) {
-        // Connect + ack, both delivered this round: settled.
-        ++s.connect_attempts;
+      const DrrProtocol::Action action = proto.begin_round(v);
+      if (action == DrrProtocol::Action::kConnect) {  // connect + ack, both this round
         ++connects;
-        s.parent = s.pending_parent;
-        proto.settle(s);
-        continue;
+        proto.connected(v, proto.state[v].pending_parent);
+      } else if (action == DrrProtocol::Action::kProbe) {  // probe + rank reply
+        const NodeId u = proto.probe_target(v, sample(v, rng[v]));
+        proto.probe_answered(v, u, proto.rank[u]);
       }
-      if (s.attempts < proto.budget) {
-        NodeId u = sample(v, rng[v]);
-        if (u == v && complete) u = (u + 1) % n;
-        // Probe out, rank reply back, both delivered this round.
-        ++probes;
-        ++s.attempts;
-        if (rank_of[u] > rank_of[v]) s.pending_parent = u;
-      }
-      if (s.pending_parent == sim::kNoNode && s.attempts >= proto.budget)
-        proto.settle(s);  // no higher-ranked node found: root
+      proto.end_round(v);
     }
-    proto.active.erase(std::remove_if(proto.active.begin(), proto.active.end(),
-                                      [&proto](sim::NodeId v) {
-                                        return proto.state[v].settled;
-                                      }),
-                       proto.active.end());
-    if (proto.unsettled == 0) break;
+    if (proto.prune()) break;
   }
 
-  proto.total_probes = probes;
+  const std::uint64_t probes = proto.total_probes;
   sim::Counters counters;
   counters.sent = 2 * (probes + connects);
   counters.delivered = 2 * (probes + connects);
   counters.bits = probes * (proto.addr_bits + proto.rank_bits) +
                   connects * 2 * proto.addr_bits;
   counters.rounds = rounds;
-  std::vector<NodeId> parent(n, kNoParent);
-  std::vector<bool> member(n, true);
-  for (NodeId v = 0; v < n; ++v) parent[v] = proto.state[v].parent;
-  DrrResult result{Forest::from_parents(std::move(parent), std::move(member)),
-                   std::move(proto.rank), counters, proto.total_probes, rounds};
-  return result;
+  return proto.result([](NodeId) { return true; }, counters, rounds);
 }
 
 }  // namespace
@@ -239,29 +264,10 @@ DrrResult run_drr(std::uint32_t n, const RngFactory& rngs, const sim::Scenario& 
       config.stream_tag != 0 ? derive_seed(0x11ddULL, config.stream_tag) : 0x11ddULL;
   if (scenario.faults.fault_free()) return run_drr_flat(n, rngs, scenario, config, purpose);
   sim::Network<DrrMsg> net{n, rngs, scenario, purpose};
-  DrrProtocol proto{n, config};
-  proto.init_ranks(net);
-
-  // Probe budget rounds plus connection retries; done() usually fires
-  // earlier.  The +2 covers the final connect/ack exchange.
-  const std::uint32_t max_rounds = proto.budget + config.connect_attempt_cap + 2;
-  const std::uint32_t rounds = net.run(proto, max_rounds);
-
-  std::vector<NodeId> parent(n, kNoParent);
-  std::vector<bool> member(n, false);
-  std::vector<double> ranks(n, 0.0);
-  for (sim::NodeId v : net.alive_nodes()) {
-    member[v] = true;
-    parent[v] = proto.state[v].parent;
-    // A parent that crashed mid-phase (churn) is gone: its orphaned child
-    // becomes a root, exactly as if the connection had never been acked.
-    if (parent[v] != kNoParent && !net.alive(parent[v])) parent[v] = kNoParent;
-    ranks[v] = proto.rank[v];
-  }
-
-  DrrResult result{Forest::from_parents(std::move(parent), std::move(member)),
-                   std::move(ranks), net.counters(), proto.total_probes, rounds};
-  return result;
+  DrrProtocol proto{n, config, scenario.topology.is_complete()};
+  proto.draw_ranks(net.alive_nodes(), [&net](NodeId v) -> Rng& { return net.node_rng(v); });
+  const std::uint32_t rounds = net.run(proto, proto.max_rounds());
+  return proto.result([&net](NodeId v) { return net.alive(v); }, net.counters(), rounds);
 }
 
 }  // namespace drrg

@@ -1,7 +1,7 @@
 #pragma once
 // UdpTransport: one node's datagram endpoint plus the peer address
 // table.  This is the real-socket counterpart of the lockstep
-// sim::Network (see net/transport.hpp for the seam): it moves wire.hpp
+// sim::Network: it moves wire.hpp
 // frames between processes and keeps the same sent/delivered/bits
 // accounting, but delivery is asynchronous and unreliable -- retry and
 // timeout policy lives with the protocol state machines in node.hpp.

@@ -3,14 +3,21 @@
 #include <span>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
+#include "rootgossip/ordered_key.hpp"
 #include "rootgossip/root_relay.hpp"
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
+#include "support/scratch.hpp"
 
 namespace drrg {
 
 namespace {
+
+// Pooled Phase III staging (support/scratch.hpp); tags 20+ keep these
+// disjoint from the pipelines' slots.
+enum ScratchTag : int { kScratchSizeKeys = 21, kScratchIndicator, kScratchSpreadInit };
 
 // The protocol is compiled twice: the measurement variant (kTrack) carries
 // the Lemma 8 contribution half-rows in every message, the production
@@ -350,6 +357,58 @@ PushSumResult run_root_push_sum(const Forest& forest, std::span<const double> nu
   return config.track_potential
              ? run_push_sum_impl<true>(forest, num0, den0, rngs, scenario, config)
              : run_push_sum_impl<false>(forest, num0, den0, rngs, scenario, config);
+}
+
+RootAverageResult average_over_roots(const Forest& forest, std::span<const double> sum,
+                                     std::span<const double> weight, bool sum_mode,
+                                     std::vector<double>& root_value, const RngFactory& rngs,
+                                     const sim::Scenario& scenario,
+                                     const GossipMaxConfig& election_cfg,
+                                     const PushSumConfig& push_sum_cfg,
+                                     const GossipMaxConfig& spread_cfg) {
+  const std::uint32_t n = forest.size();
+  RootAverageResult out;
+  auto resume = [&scenario, &out] {
+    return scenario.at_round(scenario.start_round + out.rounds);
+  };
+  // Weights come from the roots' own aggregation (Algorithm 8's
+  // covsum(*, 2)), not from global forest knowledge.
+  std::vector<std::uint64_t>& size_keys =
+      support::scratch_buffer<std::uint64_t, kScratchSizeKeys>();
+  size_keys.assign(n, kKeyBottom);
+  for (NodeId r : forest.roots())
+    size_keys[r] = encode_size_id(static_cast<std::uint32_t>(weight[r]), r);
+  const GossipMaxResult election =
+      run_gossip_max(forest, size_keys, rngs, scenario, election_cfg);
+  out.gossip = election.counters;
+  out.rounds = election.rounds;
+  auto is_z = [&](NodeId r) { return election.key[r] == size_keys[r]; };
+
+  std::span<const double> den = weight;
+  if (sum_mode) {
+    std::vector<double>& indicator = support::scratch_buffer<double, kScratchIndicator>();
+    indicator.assign(n, 0.0);
+    for (NodeId r : forest.roots()) indicator[r] = is_z(r) ? 1.0 : 0.0;
+    den = indicator;
+  }
+  const PushSumResult ps = run_root_push_sum(forest, sum, den, rngs, resume(), push_sum_cfg);
+  out.gossip += ps.counters;
+  out.rounds += ps.rounds;
+
+  // Every root that believes it is z (whp exactly one) spreads its estimate.
+  std::vector<std::uint64_t>& spread_init =
+      support::scratch_buffer<std::uint64_t, kScratchSpreadInit>();
+  spread_init.assign(n, kKeyBottom);
+  for (NodeId r : forest.roots())
+    if (is_z(r) && ps.den[r] > 0.0) spread_init[r] = encode_ordered(ps.num[r] / ps.den[r]);
+  GossipMaxResult spread = run_gossip_max(forest, spread_init, rngs, resume(), spread_cfg);
+  out.spread = spread.counters;
+  out.rounds += spread.rounds;
+  out.key = std::move(spread.key);
+  root_value.assign(n, 0.0);
+  for (NodeId r : forest.roots())
+    root_value[r] = out.key[r] == kKeyBottom ? 0.0 : decode_ordered(out.key[r]);
+  return out;
 }
 
 }  // namespace drrg

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "forest/forest.hpp"
+#include "rootgossip/gossip_max.hpp"
 #include "sim/counters.hpp"
 #include "sim/scenario.hpp"
 #include "support/rng.hpp"
@@ -87,5 +88,27 @@ struct PushSumResult {
                                               const RngFactory& rngs,
                                               const sim::Scenario& scenario = {},
                                               PushSumConfig config = {});
+
+/// Algorithm 8's Phase III over the roots of `forest`.
+struct RootAverageResult {
+  /// Final data-spread key per root: encode_ordered(estimate), or
+  /// kKeyBottom where no estimate arrived.
+  std::vector<std::uint64_t> key;
+  sim::Counters gossip;  ///< election + push-sum
+  sim::Counters spread;  ///< data-spread
+  std::uint32_t rounds = 0;
+};
+
+/// Shared by the DRR pipelines and the group-merge baseline: Gossip-max on
+/// (weight, id) keys elects the root z of largest weight[r]; push-sum runs
+/// on (sum[r], weight[r]) -- in `sum_mode` on (sum[r], [r believes it is
+/// z]), so the common limit is the global sum; z data-spreads its
+/// estimate.  root_value[r] receives the decoded spread (0 where nothing
+/// arrived).  Each stage resumes the clock where the previous one stopped.
+[[nodiscard]] RootAverageResult average_over_roots(
+    const Forest& forest, std::span<const double> sum, std::span<const double> weight,
+    bool sum_mode, std::vector<double>& root_value, const RngFactory& rngs,
+    const sim::Scenario& scenario, const GossipMaxConfig& election,
+    const PushSumConfig& push_sum, const GossipMaxConfig& spread);
 
 }  // namespace drrg

@@ -8,8 +8,17 @@
 #include "rootgossip/gossip_max_protocol.hpp"
 #include "rootgossip/ordered_key.hpp"
 #include "support/mathutil.hpp"
+#include "support/scratch.hpp"
 
 namespace drrg {
+
+namespace {
+
+// Pooled key staging (support/scratch.hpp); tags 20+ keep these disjoint
+// from the pipelines' slots.
+enum ScratchTag : int { kScratchKeys = 20 };
+
+}  // namespace
 
 GossipMaxResult run_gossip_max(const Forest& forest,
                                std::span<const std::uint64_t> init_key,
@@ -31,6 +40,19 @@ GossipMaxResult run_gossip_max(const Forest& forest,
   result.counters = run.counters;
   result.rounds = run.rounds;
   return result;
+}
+
+GossipMaxResult gossip_max_of_values(const Forest& forest, std::span<const double> value,
+                                     std::vector<double>& root_value,
+                                     const RngFactory& rngs, const sim::Scenario& scenario,
+                                     const GossipMaxConfig& config) {
+  std::vector<std::uint64_t>& keys = support::scratch_buffer<std::uint64_t, kScratchKeys>();
+  keys.assign(forest.size(), kKeyBottom);
+  for (NodeId r : forest.roots()) keys[r] = encode_ordered(value[r]);
+  GossipMaxResult gm = run_gossip_max(forest, keys, rngs, scenario, config);
+  root_value.assign(forest.size(), 0.0);
+  for (NodeId r : forest.roots()) root_value[r] = decode_ordered(gm.key[r]);
+  return gm;
 }
 
 GossipMaxResult run_data_spread(const Forest& forest, NodeId source_root,

@@ -67,6 +67,15 @@ struct GossipMaxResult {
                                              const sim::Scenario& scenario = {},
                                              GossipMaxConfig config = {});
 
+/// Algorithm 7's Phase III on real values, shared by the DRR pipelines
+/// and the group-merge baseline: every root's value[r] is encoded
+/// (encode_ordered), Gossip-max runs, and root_value[r] receives the
+/// decoded result (0 at non-roots).  The returned run keeps the keys.
+GossipMaxResult gossip_max_of_values(const Forest& forest, std::span<const double> value,
+                                     std::vector<double>& root_value,
+                                     const RngFactory& rngs, const sim::Scenario& scenario,
+                                     const GossipMaxConfig& config);
+
 /// Data-spread (Algorithm 5): diffuses `key` from `source_root` to all
 /// roots; every other root starts at kKeyBottom.
 [[nodiscard]] GossipMaxResult run_data_spread(const Forest& forest, NodeId source_root,

@@ -17,12 +17,15 @@ struct BcMsg {
   double payload = 0.0;
 };
 
+/// The protocol owns the broadcast rules (which children a node calls,
+/// informing a child, recording an ack) and the result packaging; the
+/// engine upcalls and the flat executor below both call them.
 struct BcProtocol {
-  BcProtocol(const Forest& f, std::span<const double> payload, std::uint32_t n,
-             bool simultaneous)
-      : forest(f), all_children_at_once(simultaneous), value_bits(64 + address_bits(n)),
-        state(n), child_acked(f.child_slots(), 0), child_slot(n, 0) {
-    for (NodeId v = 0; v < n; ++v) {
+  BcProtocol(const Forest& f, std::span<const double> payload, bool simultaneous)
+      : forest(f), all_children_at_once(simultaneous),
+        value_bits(64 + address_bits(f.size())), state(f.size()),
+        child_acked(f.child_slots(), 0), child_slot(f.size(), 0) {
+    for (NodeId v = 0; v < f.size(); ++v) {
       if (!f.is_member(v)) continue;
       ++uninformed;
       if (f.is_root(v)) {
@@ -30,8 +33,8 @@ struct BcProtocol {
         state[v].payload = payload[v];
         --uninformed;
       }
-      // Only internal nodes ever act in on_round; leaves and childless
-      // roots are upcall no-ops and stay off the engine's scan list.
+      // Only internal nodes ever call children; leaves and childless
+      // roots stay off the active list.
       const auto children = f.children(v);
       if (!children.empty()) {
         active.push_back(v);
@@ -67,52 +70,49 @@ struct BcProtocol {
     return active;
   }
 
-  void on_round(sim::Network<BcMsg>& net, sim::NodeId v) {
+  /// Rule: an informed node (re)calls its unacked children, `call(c, slot)`
+  /// for each (`slot` indexes child_acked).  §4 Assumption (1) reaches all
+  /// (graph-neighbor) children in one round; the random phone call model
+  /// allows one call per round, to the first child not yet acknowledged.
+  template <class Call>
+  void call_children(NodeId v, Call&& call) {
     NodeState& s = state[v];
     const auto children = forest.children(v);
     if (!s.informed || s.acked_count == children.size()) return;
     const std::uint64_t base = forest.child_offset(v);
     if (all_children_at_once) {
-      // §4 Assumption (1): one round reaches all (graph-neighbor) children.
       for (std::size_t i = 0; i < children.size(); ++i)
-        if (!child_acked[base + i])
-          net.send(v, children[i], BcMsg{BcMsg::Kind::kValue, s.payload}, value_bits);
-    } else {
-      // Random phone call model: one call per round; (re)send to the first
-      // child that has not acknowledged yet.
-      while (s.resend_cursor < children.size() && child_acked[base + s.resend_cursor])
-        ++s.resend_cursor;
-      if (s.resend_cursor < children.size()) {
-        net.send(v, children[s.resend_cursor], BcMsg{BcMsg::Kind::kValue, s.payload},
-                 value_bits);
-      }
+        if (!child_acked[base + i]) call(children[i], base + i);
+      return;
     }
+    while (s.resend_cursor < children.size() && child_acked[base + s.resend_cursor])
+      ++s.resend_cursor;
+    if (s.resend_cursor < children.size())
+      call(children[s.resend_cursor], base + s.resend_cursor);
   }
 
-  void on_message(sim::Network<BcMsg>& net, sim::NodeId src, sim::NodeId dst,
-                  const BcMsg& m) {
-    if (m.kind != BcMsg::Kind::kValue) return;
-    NodeState& s = state[dst];
-    if (!s.informed) {
-      s.informed = true;
-      s.payload = m.payload;
-      --uninformed;
-    }
-    net.reply(dst, src, BcMsg{BcMsg::Kind::kAck, 0.0}, 1);
+  /// Rule: a delivered kValue informs c.  True iff c learned it just now.
+  bool inform(NodeId c, double payload) {
+    NodeState& s = state[c];
+    if (s.informed) return false;
+    s.informed = true;
+    s.payload = payload;
+    --uninformed;
+    return true;
   }
 
-  void on_reply(sim::Network<BcMsg>&, sim::NodeId src, sim::NodeId dst, const BcMsg& m) {
-    if (m.kind != BcMsg::Kind::kAck) return;
-    const std::uint64_t slot = child_slot[src];
+  /// Rule: p records the ack of the child at `slot` (idempotent under
+  /// retries).
+  void record_ack(NodeId p, std::uint64_t slot) {
     if (!child_acked[slot]) {
       child_acked[slot] = 1;
-      ++state[dst].acked_count;
+      ++state[p].acked_count;
     }
   }
 
-  [[nodiscard]] bool done(const sim::Network<BcMsg>&) {
-    // Fully-acked internal nodes never act again; pruning runs between
-    // rounds (never while the engine iterates the active span).
+  /// Drops fully-acked internal nodes, which never act again (between
+  /// rounds, never while a round loop iterates); true once all are informed.
+  bool prune() {
     active.erase(std::remove_if(active.begin(), active.end(),
                                 [this](NodeId v) {
                                   return state[v].acked_count ==
@@ -121,6 +121,42 @@ struct BcProtocol {
                  active.end());
     return uninformed == 0;
   }
+
+  [[nodiscard]] BroadcastResult result(const sim::Counters& counters,
+                                       std::uint32_t rounds) const {
+    BroadcastResult r;
+    r.received.assign(state.size(), 0.0);
+    r.informed.assign(state.size(), false);
+    for (NodeId v = 0; v < state.size(); ++v) {
+      r.received[v] = state[v].payload;
+      r.informed[v] = state[v].informed;
+    }
+    r.counters = counters;
+    r.rounds = rounds;
+    r.complete = uninformed == 0;
+    return r;
+  }
+
+  // --- engine upcalls -----------------------------------------------------
+
+  void on_round(sim::Network<BcMsg>& net, sim::NodeId v) {
+    call_children(v, [&](NodeId c, std::uint64_t) {
+      net.send(v, c, BcMsg{BcMsg::Kind::kValue, state[v].payload}, value_bits);
+    });
+  }
+
+  void on_message(sim::Network<BcMsg>& net, sim::NodeId src, sim::NodeId dst,
+                  const BcMsg& m) {
+    if (m.kind != BcMsg::Kind::kValue) return;
+    inform(dst, m.payload);
+    net.reply(dst, src, BcMsg{BcMsg::Kind::kAck, 0.0}, 1);
+  }
+
+  void on_reply(sim::Network<BcMsg>&, sim::NodeId src, sim::NodeId dst, const BcMsg& m) {
+    if (m.kind == BcMsg::Kind::kAck) record_ack(dst, child_slot[src]);
+  }
+
+  [[nodiscard]] bool done(const sim::Network<BcMsg>&) { return prune(); }
 };
 
 /// Flat fault-free executor.  Every kValue is delivered and acknowledged
@@ -131,70 +167,25 @@ struct BcProtocol {
 /// Counters and the informed/payload state are bit-identical to the
 /// Network path (pinned by the golden determinism tests); no RNG is ever
 /// drawn by either path.
-BroadcastResult run_broadcast_flat(const Forest& forest, std::span<const double> payload,
-                                   std::uint32_t n, bool simultaneous,
-                                   std::uint32_t max_rounds) {
-  BcProtocol proto{forest, payload, n, simultaneous};
-  std::vector<std::uint32_t> informed_at(n, 0);  // roots: round 0 (pre-informed)
-
-  sim::Counters counters;
-  std::uint32_t rounds = 0;
-  while (rounds < max_rounds) {
-    const std::uint32_t r = rounds;
-    ++counters.rounds;
-    ++rounds;
+BroadcastResult run_broadcast_flat(BcProtocol& proto, std::uint32_t max_rounds) {
+  std::vector<std::uint32_t> informed_at(proto.state.size(), 0);  // roots: round 0
+  sim::Counters counters;  // a local keeps the tallies in registers
+  while (counters.rounds < max_rounds) {
+    const std::uint32_t r = counters.rounds++;
     for (NodeId v : proto.active) {
-      BcProtocol::NodeState& s = proto.state[v];
-      const auto children = forest.children(v);
-      if (!s.informed || informed_at[v] > r || s.acked_count == children.size())
-        continue;
-      const std::uint64_t base = forest.child_offset(v);
-      auto inform = [&](std::size_t i) {
-        const NodeId c = children[i];
+      if (informed_at[v] > r) continue;
+      proto.call_children(v, [&](NodeId c, std::uint64_t slot) {
         // kValue out, child informed, 1-bit ack back -- all this round.
         counters.sent += 2;
         counters.delivered += 2;
         counters.bits += proto.value_bits + 1;
-        BcProtocol::NodeState& cs = proto.state[c];
-        if (!cs.informed) {
-          cs.informed = true;
-          cs.payload = s.payload;
-          informed_at[c] = r + 1;  // acts from the next round, engine order
-          --proto.uninformed;
-        }
-        proto.child_acked[base + i] = 1;
-        ++s.acked_count;
-      };
-      if (proto.all_children_at_once) {
-        for (std::size_t i = 0; i < children.size(); ++i)
-          if (!proto.child_acked[base + i]) inform(i);
-      } else {
-        while (s.resend_cursor < children.size() &&
-               proto.child_acked[base + s.resend_cursor])
-          ++s.resend_cursor;
-        if (s.resend_cursor < children.size()) inform(s.resend_cursor);
-      }
+        if (proto.inform(c, proto.state[v].payload)) informed_at[c] = r + 1;
+        proto.record_ack(v, slot);
+      });
     }
-    proto.active.erase(std::remove_if(proto.active.begin(), proto.active.end(),
-                                      [&proto, &forest](NodeId v) {
-                                        return proto.state[v].acked_count ==
-                                               forest.children(v).size();
-                                      }),
-                       proto.active.end());
-    if (proto.uninformed == 0) break;
+    if (proto.prune()) break;
   }
-
-  BroadcastResult result;
-  result.received.assign(n, 0.0);
-  result.informed.assign(n, false);
-  for (NodeId v = 0; v < n; ++v) {
-    result.received[v] = proto.state[v].payload;
-    result.informed[v] = proto.state[v].informed;
-  }
-  result.counters = counters;
-  result.rounds = rounds;
-  result.complete = proto.uninformed == 0;
-  return result;
+  return proto.result(counters, counters.rounds);
 }
 
 }  // namespace
@@ -211,26 +202,11 @@ BroadcastResult run_broadcast(const Forest& forest, std::span<const double> payl
                      ? 8 * (forest.max_tree_height() + 2) + 64
                      : 8 * (forest.max_tree_size() + 2) + 64;
   }
-  if (scenario.faults.fault_free())
-    return run_broadcast_flat(forest, payload, n, config.simultaneous_children,
-                              max_rounds);
-
+  BcProtocol proto{forest, payload, config.simultaneous_children};
+  if (scenario.faults.fault_free()) return run_broadcast_flat(proto, max_rounds);
   sim::Network<BcMsg> net{n, rngs, scenario, derive_seed(0xbc, config.stream_tag)};
-  BcProtocol proto{forest, payload, n, config.simultaneous_children};
-
   const std::uint32_t rounds = net.run(proto, max_rounds);
-
-  BroadcastResult result;
-  result.received.assign(n, 0.0);
-  result.informed.assign(n, false);
-  for (NodeId v = 0; v < n; ++v) {
-    result.received[v] = proto.state[v].payload;
-    result.informed[v] = proto.state[v].informed;
-  }
-  result.counters = net.counters();
-  result.rounds = rounds;
-  result.complete = proto.uninformed == 0;
-  return result;
+  return proto.result(net.counters(), rounds);
 }
 
 }  // namespace drrg

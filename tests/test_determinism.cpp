@@ -235,44 +235,80 @@ TEST(GoldenDeterminism, ShardedEngineIsIntraThreadInvariant) {
 // The flat fault-free executors must agree with the generic engine path
 // byte for byte.  A vanishing loss probability forces the engine path
 // (fault_free() is false) while leaving every delivery intact -- the loss
-// stream feeds nothing else -- so the pair must hash equal on every
-// substrate.
+// stream feeds nothing else -- so the pair must agree on every substrate,
+// phase by phase.
+void expect_counters_eq(const sim::Counters& a, const sim::Counters& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.sent, b.sent) << where;
+  EXPECT_EQ(a.delivered, b.delivered) << where;
+  EXPECT_EQ(a.lost, b.lost) << where;
+  EXPECT_EQ(a.bits, b.bits) << where;
+  EXPECT_EQ(a.rounds, b.rounds) << where;
+}
+
 TEST(GoldenDeterminism, FlatExecutorsMatchEnginePath) {
+  using sim::TopologyKind;
+  const std::vector<TopologyKind> all = {TopologyKind::kComplete, TopologyKind::kChordRing,
+                                         TopologyKind::kRandomRegular,
+                                         TopologyKind::kGrid2d};
   struct Input {
     const char* algo;
     api::Aggregate agg;
+    std::vector<TopologyKind> topologies;
+    api::Pipeline pipeline = api::Pipeline::kDense;
   };
   // Every drr aggregate whose pipeline takes a different set of flat
-  // executors, plus extrema, which runs the same convergecast and
-  // Gossip-max protocols on min-vectors.
+  // executors; extrema, which runs the same convergecast and Gossip-max
+  // protocols on min-vectors; the group-merge baseline's Phase III; and
+  // the sparse pipelines, the only users of the simultaneous-children
+  // broadcast.
   const Input inputs[] = {
-      {"drr", api::Aggregate::kAve},       {"drr", api::Aggregate::kMax},
-      {"drr", api::Aggregate::kMin},       {"drr", api::Aggregate::kSum},
-      {"drr", api::Aggregate::kCount},     {"drr", api::Aggregate::kRank},
-      {"extrema", api::Aggregate::kCount}, {"extrema", api::Aggregate::kSum},
+      {"drr", api::Aggregate::kAve, all},
+      {"drr", api::Aggregate::kMax, all},
+      {"drr", api::Aggregate::kMin, all},
+      {"drr", api::Aggregate::kSum, all},
+      {"drr", api::Aggregate::kCount, all},
+      {"drr", api::Aggregate::kRank, all},
+      {"extrema", api::Aggregate::kCount, all},
+      {"extrema", api::Aggregate::kSum, all},
+      {"efficient", api::Aggregate::kMax, all},
+      {"efficient", api::Aggregate::kAve, all},
+      {"drr", api::Aggregate::kMax, {TopologyKind::kGrid2d}, api::Pipeline::kSparse},
+      {"drr", api::Aggregate::kAve, {TopologyKind::kGrid2d}, api::Pipeline::kSparse},
+      {"chord-drr", api::Aggregate::kAve, {TopologyKind::kComplete}},
   };
-  for (const sim::TopologyKind kind :
-       {sim::TopologyKind::kComplete, sim::TopologyKind::kChordRing,
-        sim::TopologyKind::kRandomRegular, sim::TopologyKind::kGrid2d}) {
-    for (const Input& in : inputs) {
+  for (const Input& in : inputs) {
+    for (const TopologyKind kind : in.topologies) {
       api::RunSpec flat = spec_of(256, in.agg, 97);
       flat.topology.kind = kind;
+      flat.pipeline = in.pipeline;
       flat.rank_threshold = 50.0;
       api::RunSpec engine = flat;
       engine.faults.loss_prob = 1e-300;  // engine path, zero effective loss
       const api::RunReport a = api::run(in.algo, flat);
       const api::RunReport b = api::run(in.algo, engine);
       const std::string where = std::string(in.algo) + "/" +
-                                std::string(api::to_string(in.agg)) + " on " +
+                                std::string(api::to_string(in.agg)) + " (" +
+                                std::string(api::to_string(in.pipeline)) + ") on " +
                                 std::string(sim::to_string(kind));
       ASSERT_TRUE(a.ok() && b.ok()) << where << ": " << a.error << b.error;
       EXPECT_EQ(a.value, b.value) << where;
       EXPECT_EQ(a.consensus, b.consensus) << where;
       EXPECT_EQ(a.rounds, b.rounds) << where;
-      EXPECT_EQ(a.cost.sent, b.cost.sent) << where;
-      EXPECT_EQ(a.cost.delivered, b.cost.delivered) << where;
-      EXPECT_EQ(a.cost.bits, b.cost.bits) << where;
+      expect_counters_eq(a.cost, b.cost, where + " total");
+      expect_counters_eq(a.phases.drr, b.phases.drr, where + " drr");
+      expect_counters_eq(a.phases.convergecast, b.phases.convergecast,
+                         where + " convergecast");
+      expect_counters_eq(a.phases.root_broadcast, b.phases.root_broadcast,
+                         where + " root_broadcast");
+      expect_counters_eq(a.phases.gossip, b.phases.gossip, where + " gossip");
+      expect_counters_eq(a.phases.spread, b.phases.spread, where + " spread");
+      expect_counters_eq(a.phases.value_broadcast, b.phases.value_broadcast,
+                         where + " value_broadcast");
       EXPECT_EQ(a.forest.num_trees, b.forest.num_trees) << where;
+      EXPECT_EQ(a.forest.max_tree_size, b.forest.max_tree_size) << where;
+      EXPECT_EQ(a.forest.max_tree_height, b.forest.max_tree_height) << where;
+      EXPECT_EQ(a.forest.largest_tree_root, b.forest.largest_tree_root) << where;
     }
   }
 }
@@ -302,15 +338,27 @@ TEST(GoldenDeterminism, CsrSamplingMatchesNaiveNeighborSampling) {
 
 // Satellite regression: diameter-heavy substrates now converge (member
 // relay + diameter-scaled Phase III budget); the knob disables cleanly.
+// Extrema count takes the same budget: its min-vector must reach every
+// root, so the estimate equals the complete-topology one (same draws).
 TEST(DiameterBudget, GridAndTorusReachConsensus) {
+  const api::RunReport extrema_complete =
+      api::run("extrema", spec_of(256, api::Aggregate::kCount, 42));
+  ASSERT_TRUE(extrema_complete.ok()) << extrema_complete.error;
   for (const bool torus : {false, true}) {
+    const char* where = torus ? "torus" : "grid";
     api::RunSpec spec = spec_of(256, api::Aggregate::kAve, 42);
     spec.topology.kind = sim::TopologyKind::kGrid2d;
     spec.topology.torus = torus;
     const api::RunReport r = api::run("drr", spec);
     ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_TRUE(r.consensus) << (torus ? "torus" : "grid");
-    EXPECT_LT(r.rel_error(), 0.1) << (torus ? "torus" : "grid");
+    EXPECT_TRUE(r.consensus) << where;
+    EXPECT_LT(r.rel_error(), 0.1) << where;
+
+    spec.aggregate = api::Aggregate::kCount;
+    const api::RunReport e = api::run("extrema", spec);
+    ASSERT_TRUE(e.ok()) << e.error;
+    EXPECT_TRUE(e.consensus) << "extrema on " << where;
+    EXPECT_EQ(e.value, extrema_complete.value) << "extrema on " << where;
   }
 }
 

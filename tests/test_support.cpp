@@ -1,12 +1,16 @@
-// Unit tests for the support layer: RNG, math helpers, statistics, tables.
+// Unit tests for the support layer: RNG, math helpers, statistics, tables,
+// flag parsing.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "support/mathutil.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -293,6 +297,46 @@ TEST(Table, AddRowInitializer) {
   t.add_row({"x", "y"});
   EXPECT_EQ(t.rows(), 1u);
   EXPECT_NE(t.to_string().find('x'), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// parse_number
+
+TEST(ParseNumber, AcceptsWholeInRangeNumbers) {
+  using support::parse_number;
+  constexpr auto kU32Max = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(parse_number<std::uint32_t>("4096", 0, kU32Max), 4096u);
+  EXPECT_EQ(parse_number<std::uint32_t>("4294967295", 0, kU32Max), kU32Max);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615", 0,
+                                        std::numeric_limits<std::uint64_t>::max()),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_number<std::int64_t>("-7", -10, 10), -7);
+  EXPECT_EQ(parse_number<double>("0.25", 0.0, 1.0), 0.25);
+  EXPECT_EQ(parse_number<double>("1e-3", 0.0, 1.0), 1e-3);
+  EXPECT_EQ(parse_number<double>("1", 0.0, 1.0), 1.0);
+}
+
+TEST(ParseNumber, RejectsGarbageOverflowAndOutOfRange) {
+  using support::parse_number;
+  constexpr auto kU32Max = std::numeric_limits<std::uint32_t>::max();
+  // atoll would have wrapped this to 705032704.
+  EXPECT_FALSE(parse_number<std::uint32_t>("5000000000", 0, kU32Max).has_value());
+  EXPECT_FALSE(parse_number<std::uint32_t>("-1", 0, kU32Max).has_value());
+  EXPECT_FALSE(parse_number<std::uint32_t>("", 0, kU32Max).has_value());
+  EXPECT_FALSE(parse_number<std::uint32_t>("12abc", 0, kU32Max).has_value());
+  EXPECT_FALSE(parse_number<std::uint32_t>(" 12", 0, kU32Max).has_value());
+  EXPECT_FALSE(parse_number<std::uint16_t>("65536", 0, 65535).has_value());
+  EXPECT_FALSE(parse_number<int>("11", 0, 10).has_value());
+  // atof would have read these as 0.
+  EXPECT_FALSE(parse_number<double>("abc", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parse_number<double>("0.5x", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parse_number<double>("1.5", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parse_number<double>("nan", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parse_number<double>("inf", std::numeric_limits<double>::lowest(),
+                                    std::numeric_limits<double>::max())
+                   .has_value());
+  EXPECT_FALSE(parse_number<double>("1e999", 0.0, std::numeric_limits<double>::max())
+                   .has_value());
 }
 
 }  // namespace

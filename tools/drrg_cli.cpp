@@ -16,11 +16,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/scenario_text.hpp"
+#include "support/parse.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -121,6 +123,20 @@ struct Options {
   std::exit(code);
 }
 
+/// Reads `text` as the value of `flag` into `out`: the whole text must be
+/// one number in [lo, hi], else the tool exits 2 naming the flag.
+template <class T>
+void read_number(T& out, const std::string& flag, const char* text,
+                 T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max()) {
+  const auto value = drrg::support::parse_number<T>(text, lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), text);
+    usage(2);
+  }
+  out = *value;
+}
+
 /// Prints the algorithm x aggregate matrix straight from the registry.
 void list_matrix() {
   std::printf("%-14s %-42s %-8s %s\n", "algorithm", "aggregates", "transports",
@@ -156,15 +172,15 @@ Options parse(int argc, char** argv) {
     };
     if (arg == "--algo") opt.algo = next("--algo");
     else if (arg == "--agg") opt.agg = next("--agg");
-    else if (arg == "--n") opt.n = static_cast<std::uint32_t>(std::atoll(next("--n")));
-    else if (arg == "--seed") opt.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
-    else if (arg == "--loss") opt.loss = std::atof(next("--loss"));
-    else if (arg == "--crash") opt.crash = std::atof(next("--crash"));
-    else if (arg == "--threshold") opt.rank_threshold = std::atof(next("--threshold"));
-    else if (arg == "--trials") opt.trials = std::atoi(next("--trials"));
-    else if (arg == "--threads") opt.threads = static_cast<unsigned>(std::atoi(next("--threads")));
-    else if (arg == "--intra-threads") opt.intra_threads = static_cast<unsigned>(std::atoi(next("--intra-threads")));
-    else if (arg == "--diam-mult") opt.diam_mult = std::atof(next("--diam-mult"));
+    else if (arg == "--n") read_number(opt.n, arg, next("--n"));
+    else if (arg == "--seed") read_number(opt.seed, arg, next("--seed"));
+    else if (arg == "--loss") read_number(opt.loss, arg, next("--loss"), 0.0, 1.0);
+    else if (arg == "--crash") read_number(opt.crash, arg, next("--crash"), 0.0, 1.0);
+    else if (arg == "--threshold") read_number(opt.rank_threshold, arg, next("--threshold"));
+    else if (arg == "--trials") read_number(opt.trials, arg, next("--trials"));
+    else if (arg == "--threads") read_number(opt.threads, arg, next("--threads"));
+    else if (arg == "--intra-threads") read_number(opt.intra_threads, arg, next("--intra-threads"));
+    else if (arg == "--diam-mult") read_number(opt.diam_mult, arg, next("--diam-mult"), 0.0);
     else if (arg == "--pipeline") {
       const char* name = next("--pipeline");
       const auto pipeline = drrg::api::pipeline_from_name(name);
@@ -183,7 +199,7 @@ Options parse(int argc, char** argv) {
       }
       opt.transport = *transport;
     }
-    else if (arg == "--bind-port") opt.bind_port = static_cast<std::uint16_t>(std::atoi(next("--bind-port")));
+    else if (arg == "--bind-port") read_number(opt.bind_port, arg, next("--bind-port"));
     else if (arg == "--seed-list") opt.seed_list = next("--seed-list");
     else if (arg == "--chaos") {
       opt.chaos_text = next("--chaos");
@@ -195,8 +211,8 @@ Options parse(int argc, char** argv) {
         usage(2);
       }
     }
-    else if (arg == "--round-ms") opt.round_ms = std::atoll(next("--round-ms"));
-    else if (arg == "--degree") opt.topology.degree = static_cast<std::uint32_t>(std::atoi(next("--degree")));
+    else if (arg == "--round-ms") read_number(opt.round_ms, arg, next("--round-ms"), std::int64_t{0});
+    else if (arg == "--degree") read_number(opt.topology.degree, arg, next("--degree"));
     else if (arg == "--topology") {
       const char* name = next("--topology");
       const auto spec = drrg::sim::topology_from_name(name);

@@ -24,10 +24,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "api/scenario_text.hpp"
 #include "net/node.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -61,6 +63,20 @@ namespace {
   std::exit(code);
 }
 
+/// Reads `text` as the value of `flag` into `out`: the whole text must be
+/// one number in [lo, hi], else the tool exits 2 naming the flag.
+template <class T>
+void read_number(T& out, const std::string& flag, const char* text,
+                 T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max()) {
+  const auto value = drrg::support::parse_number<T>(text, lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), text);
+    usage(2);
+  }
+  out = *value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -86,11 +102,11 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--id") { opt.node = static_cast<std::uint32_t>(std::atoll(next("--id"))); have_id = true; }
-    else if (arg == "--n") opt.n = static_cast<std::uint32_t>(std::atoll(next("--n")));
-    else if (arg == "--seed") opt.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
-    else if (arg == "--loss") loss = std::atof(next("--loss"));
-    else if (arg == "--crash") crash = std::atof(next("--crash"));
+    if (arg == "--id") { read_number(opt.node, arg, next("--id")); have_id = true; }
+    else if (arg == "--n") read_number(opt.n, arg, next("--n"));
+    else if (arg == "--seed") read_number(opt.seed, arg, next("--seed"));
+    else if (arg == "--loss") read_number(loss, arg, next("--loss"), 0.0, 1.0);
+    else if (arg == "--crash") read_number(crash, arg, next("--crash"), 0.0, 1.0);
     else if (arg == "--churn") {
       const auto parsed = api::parse_churn(next("--churn"));
       if (!parsed.has_value()) {
@@ -139,13 +155,13 @@ int main(int argc, char** argv) {
       }
       opt.chaos = *parsed;
     }
-    else if (arg == "--round-ms") opt.round_ms = std::atoll(next("--round-ms"));
+    else if (arg == "--round-ms") read_number(opt.round_ms, arg, next("--round-ms"), std::int64_t{0});
     else if (arg == "--no-self-halt") opt.self_halt = false;
-    else if (arg == "--bootstrap-min-ms") opt.bootstrap_min_ms = std::atoll(next("--bootstrap-min-ms"));
-    else if (arg == "--linger-ms") opt.linger_ms = std::atoll(next("--linger-ms"));
+    else if (arg == "--bootstrap-min-ms") read_number(opt.bootstrap_min_ms, arg, next("--bootstrap-min-ms"), std::int64_t{0});
+    else if (arg == "--linger-ms") read_number(opt.linger_ms, arg, next("--linger-ms"), std::int64_t{0});
     else if (arg == "--agg") agg = next("--agg");
-    else if (arg == "--port-base") opt.port_base = static_cast<std::uint16_t>(std::atoi(next("--port-base")));
-    else if (arg == "--bind-port") opt.bind_port = static_cast<std::uint16_t>(std::atoi(next("--bind-port")));
+    else if (arg == "--port-base") read_number(opt.port_base, arg, next("--port-base"));
+    else if (arg == "--bind-port") read_number(opt.bind_port, arg, next("--bind-port"));
     else if (arg == "--seed-list") {
       const auto seeds = net::parse_seed_list(next("--seed-list"));
       if (!seeds.has_value()) {
@@ -154,7 +170,7 @@ int main(int argc, char** argv) {
       }
       opt.seed_list = *seeds;
     }
-    else if (arg == "--deadline-ms") opt.deadline_ms = std::atoll(next("--deadline-ms"));
+    else if (arg == "--deadline-ms") read_number(opt.deadline_ms, arg, next("--deadline-ms"), std::int64_t{0});
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--help" || arg == "-h") usage(0);
     else {
