@@ -115,11 +115,6 @@ template <class T>
   return s;
 }
 
-[[nodiscard]] bool has_crashes(const RunSpec& spec) {
-  return spec.faults.crash_fraction > 0.0 || spec.faults.has_churn() ||
-         spec.faults.has_blocks() || spec.faults.has_joins();
-}
-
 /// Final-survivor mask for algorithms whose result struct carries none:
 /// every top-level entry point builds RngFactory{seed}, so the fault
 /// timeline their engines will draw is reproducible here (empty mask when
@@ -128,7 +123,7 @@ template <class T>
 /// fire, so their would-be victims count as participants.
 [[nodiscard]] std::vector<bool> participating_mask(const RunSpec& spec,
                                                    std::uint32_t executed_rounds) {
-  if (!has_crashes(spec)) return {};
+  if (spec.faults.crash_free()) return {};
   // Mid-run joiners bootstrap empty (they carry traffic but hold no
   // founding value), so the truth population is the surviving round-0
   // cohort whenever the schedule has joins.
@@ -137,6 +132,25 @@ template <class T>
                              executed_rounds);
   return sim::survivor_mask(spec.n, RngFactory{spec.seed}, spec.faults,
                             executed_rounds);
+}
+
+/// The value held by the first participant (node 0 may have crashed with
+/// its input), or 0 when nobody participates.
+[[nodiscard]] double first_participant_value(const std::vector<double>& value,
+                                             const std::vector<bool>& participating) {
+  for (std::size_t v = 0; v < value.size(); ++v)
+    if (participating.empty() || participating[v]) return value[v];
+  return 0.0;
+}
+
+/// Max over the participants' values: a crashed node keeps its stale
+/// initial value, which may exceed the survivor maximum.
+[[nodiscard]] double max_participant_value(const std::vector<double>& value,
+                                           const std::vector<bool>& participating) {
+  double held = -std::numeric_limits<double>::infinity();
+  for (std::size_t v = 0; v < value.size(); ++v)
+    if (participating.empty() || participating[v]) held = std::max(held, value[v]);
+  return held;
 }
 
 /// Copies an AggregateOutcome (the DRR-family result) into a report.
@@ -272,18 +286,10 @@ RunReport run_drr_udp(const RunSpec& spec, RunReport report) {
     report.error = "--transport udp implements the dense pipeline only";
     return report;
   }
-  const bool structured = spec.faults.has_blocks() || spec.faults.has_partitions() ||
-                          spec.faults.has_joins() || !spec.faults.latency.zero();
   // Structured adversity needs a wall clock to land on: block SIGKILLs,
   // partition cuts and join births are marks at round * round_ms.
   const std::int64_t round_ms =
-      spec.udp_round_ms > 0 ? spec.udp_round_ms : (structured ? 250 : 0);
-  if (structured && round_ms <= 0) {
-    report.error =
-        "--transport udp needs --round-ms > 0 for block-crash, partition, "
-        "join or latency events";
-    return report;
-  }
+      spec.udp_round_ms > 0 ? spec.udp_round_ms : (spec.faults.needs_wall_clock() ? 250 : 0);
   net::ChaosSpec chaos;
   if (!spec.udp_chaos.empty()) {
     const auto parsed = parse_chaos(spec.udp_chaos);
@@ -366,12 +372,7 @@ RunReport run_drr_udp(const RunSpec& spec, RunReport report) {
   // unlike a round-bounded sim run there is no "churn we never reached".
   // Joiners bootstrap empty in both runtimes, so the truth population
   // under joins is the surviving round-0 cohort (founder_mask).
-  report.participating =
-      !has_crashes(spec)
-          ? std::vector<bool>{}
-          : (spec.faults.has_joins()
-                 ? sim::founder_mask(spec.n, RngFactory{spec.seed}, spec.faults)
-                 : sim::survivor_mask(spec.n, RngFactory{spec.seed}, spec.faults));
+  report.participating = participating_mask(spec, sim::kNeverCrashes);
 
   const auto node_value = [&](const net::NodeReport& r) {
     switch (spec.aggregate) {
@@ -507,13 +508,7 @@ RunReport run_uniform(const RunSpec& spec) {
     const UniformPushMaxResult r =
         uniform_push_max(spec.n, values, spec.seed, scenario, cfg);
     report.participating = participating_mask(spec, r.counters.rounds);
-    // Max over survivors only: a crashed node keeps its stale initial
-    // value, which may exceed the survivor maximum.
-    double held = -std::numeric_limits<double>::infinity();
-    for (std::size_t v = 0; v < r.value.size(); ++v)
-      if (report.participating.empty() || report.participating[v])
-        held = std::max(held, r.value[v]);
-    report.value = held;
+    report.value = max_participant_value(r.value, report.participating);
     report.consensus = r.consensus;
     report.rounds = r.rounds_to_consensus;
     report.cost = r.counters;
@@ -575,13 +570,7 @@ RunReport run_pairwise(const RunSpec& spec) {
   const sim::Scenario scenario = make_scenario(spec);
   const PairwiseResult r = pairwise_average(spec.n, values, spec.seed, scenario, cfg);
   report.participating = participating_mask(spec, r.counters.rounds);
-  // First surviving node's value (node 0 may have crashed with its input).
-  report.value = r.value.front();
-  for (std::size_t v = 0; v < r.value.size(); ++v)
-    if (report.participating.empty() || report.participating[v]) {
-      report.value = r.value[v];
-      break;
-    }
+  report.value = first_participant_value(r.value, report.participating);
   report.consensus = r.max_relative_error < 1e-3;
   report.rounds = r.counters.rounds;
   report.cost = r.counters;
@@ -657,19 +646,9 @@ RunReport run_chord_uniform(const RunSpec& spec) {
           : chord_uniform_push_sum(chord, values, spec.seed, scenario, cfg);
   report.participating = participating_mask(spec, r.counters.rounds);
   const Truth t = compute_truth(values, report.participating);
-  double held = 0.0;
-  for (std::size_t v = 0; v < r.value.size(); ++v)
-    if (report.participating.empty() || report.participating[v]) {
-      held = r.value[v];
-      break;
-    }
-  if (spec.aggregate == Aggregate::kMax) {
-    held = -std::numeric_limits<double>::infinity();
-    for (std::size_t v = 0; v < r.value.size(); ++v)
-      if (report.participating.empty() || report.participating[v])
-        held = std::max(held, r.value[v]);
-  }
-  report.value = held;
+  report.value = spec.aggregate == Aggregate::kMax
+                     ? max_participant_value(r.value, report.participating)
+                     : first_participant_value(r.value, report.participating);
   report.consensus =
       spec.aggregate == Aggregate::kMax ? r.consensus : r.max_relative_error < 1e-2;
   report.rounds = r.rounds;

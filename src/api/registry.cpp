@@ -172,6 +172,19 @@ RunReport run(std::string_view algorithm, const RunSpec& spec) {
     report.error = "invalid fault schedule: " + *bad;
     return report;
   }
+  if (spec.n < 2) {
+    report.error = "invalid spec: need n >= 2";
+    return report;
+  }
+  if (!spec.values.empty() && spec.values.size() != spec.n) {
+    report.error = "invalid spec: values must hold exactly n entries";
+    return report;
+  }
+  if (!std::all_of(spec.values.begin(), spec.values.end(),
+                   [](double x) { return std::isfinite(x); })) {
+    report.error = "invalid spec: every value must be finite";
+    return report;
+  }
   try {
     report = algo->invoke(spec);
   } catch (const std::exception& e) {

@@ -64,8 +64,9 @@ struct Registration {
 };
 
 /// Runs `algorithm` on `spec`.  Never throws: an unknown algorithm, an
-/// unsupported (algorithm, aggregate) pair, a config type mismatch or an
-/// exception inside the algorithm comes back as a RunReport with
+/// unsupported (algorithm, aggregate) pair, an invalid fault schedule,
+/// n < 2, values that are not n finite numbers, a config type mismatch
+/// or an exception inside the algorithm comes back as a RunReport with
 /// ok() == false and a populated error.
 [[nodiscard]] RunReport run(std::string_view algorithm, const RunSpec& spec);
 

@@ -407,6 +407,7 @@ EfficientGossipResult efficient_gossip_max(std::uint32_t n,
                                            std::span<const double> values,
                                            std::uint64_t seed, const sim::Scenario& scenario,
                                            EfficientGossipConfig config) {
+  if (n < 2) throw std::invalid_argument("efficient_gossip: need n >= 2");
   if (values.size() < n) throw std::invalid_argument("efficient_gossip: values too short");
   RngFactory rngs{seed};
   MergeOutcome merge = run_merge_stages(n, values, rngs, scenario, config);
@@ -428,6 +429,7 @@ EfficientGossipResult efficient_gossip_ave(std::uint32_t n,
                                            std::span<const double> values,
                                            std::uint64_t seed, const sim::Scenario& scenario,
                                            EfficientGossipConfig config) {
+  if (n < 2) throw std::invalid_argument("efficient_gossip: need n >= 2");
   if (values.size() < n) throw std::invalid_argument("efficient_gossip: values too short");
   RngFactory rngs{seed};
   MergeOutcome merge = run_merge_stages(n, values, rngs, scenario, config);

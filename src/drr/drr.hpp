@@ -18,24 +18,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "drr/drr_rules.hpp"
 #include "forest/forest.hpp"
 #include "sim/counters.hpp"
 #include "sim/scenario.hpp"
 #include "support/rng.hpp"
 
 namespace drrg {
-
-struct DrrConfig {
-  /// Probes per node; 0 means the paper's log2(n) - 1.
-  std::uint32_t probe_budget = 0;
-  /// Connection (re)send attempts before giving up and becoming a root.
-  std::uint32_t connect_attempt_cap = 8;
-  /// Disambiguates the per-node RNG streams when several Phase I runs
-  /// share one root seed (e.g. the quantile bisection's sub-runs, which
-  /// must share a crash set but draw fresh ranks).  0 keeps the
-  /// historical stream.
-  std::uint64_t stream_tag = 0;
-};
 
 struct DrrResult {
   Forest forest;

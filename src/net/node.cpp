@@ -6,11 +6,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <thread>
 
+#include "drr/drr_rules.hpp"
 #include "net/backoff.hpp"
 #include "net/membership.hpp"
 #include "sim/scenario.hpp"
@@ -25,9 +25,25 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint32_t kNone = 0xffffffffu;
 
+// Wall-clock and retry constants, sized for localhost-to-LAN clusters.
+// Every retry ladder backs off from kRetryBaseMs (net/backoff.hpp).
+constexpr std::int64_t kRetryBaseMs = 150;
+constexpr std::uint32_t kBootstrapQuorum = 3;  ///< hello-acks before proceeding
+constexpr std::uint32_t kProbeRetries = 3;  ///< sends per probe (then the attempt is spent)
+/// Sends of a tree-edge request: a value up (then orphan-promote to
+/// root) or a final down (then give the child up).
+constexpr std::uint32_t kTreeRetries = 25;
 /// Retry budget for the kTreeLeave retraction: generous because it must
 /// survive a whole partition (backoff caps the per-try cost).
 constexpr std::uint32_t kTreeLeaveRetryCap = 64;
+constexpr std::int64_t kSubtreeStableMs = 400;  ///< root quiescence before gossip
+constexpr std::int64_t kGossipTickMs = 100;
+constexpr std::uint32_t kQuietExchanges = 3;
+/// Roots hold the finalize until the fold covers every peer membership
+/// still presumes live; past this mark they finalize on quiescence alone
+/// (liveness under pathological loss -- degrade, don't hang).
+constexpr std::int64_t kFinalizeFallbackMs = 8000;
+constexpr std::uint32_t kRelayTtl = 24;
 
 /// The monotone aggregate bundle one subtree (or root table fold)
 /// carries.  Exact double equality is the change detector: merges move
@@ -93,7 +109,8 @@ enum class Phase : std::uint8_t {
 
 class NodeRuntime {
  public:
-  explicit NodeRuntime(const NodeOptions& opt) : opt_(opt), rngs_(opt.seed) {}
+  explicit NodeRuntime(const NodeOptions& opt)
+      : opt_(opt), rngs_(opt.seed), drr_rules_(opt.n, DrrConfig{}, /*complete_graph=*/true) {}
 
   NodeReport run() {
     NodeReport report;
@@ -158,16 +175,12 @@ class NodeRuntime {
     backoff_rng_ = rngs_.node_stream(opt_.node, 0xb0ffULL);
     dedup_.assign(opt_.n, DedupRing{});
 
-    // Same stream discipline as the simulator's run_drr: purpose 0x11dd,
-    // first draw is the rank, subsequent draws sample probe targets.
-    drr_rng_ = rngs_.node_stream(opt_.node, 0x11ddULL);
-    rank_ = drr_rng_.next_unit();
+    // The simulator's Phase I stream: the rank, then the probe targets.
+    drr_rng_ = rngs_.node_stream(opt_.node, drr_stream_purpose(0));
+    rank_ = draw_rank(drr_rng_);
     aux_rng_ = rngs_.node_stream(opt_.node, 0x90551bULL);
 
-    probe_budget_ = opt_.probe_budget != 0 ? opt_.probe_budget : drr_probe_budget(opt_.n);
-    min_exchanges_ = opt_.min_exchanges != 0
-                         ? opt_.min_exchanges
-                         : std::max<std::uint32_t>(8, 2 * log2_ceil(opt_.n));
+    min_exchanges_ = std::max<std::uint32_t>(8, 2 * ceil_log2(opt_.n));
     membership_ = std::make_unique<Membership>(opt_.n, opt_.node);
     own_stats_ = Stats{values_[opt_.node], values_[opt_.node], values_[opt_.node], 1};
     // Joiners match the simulator's founder semantics: they carry
@@ -215,12 +228,6 @@ class NodeRuntime {
         .count();
   }
 
-  static std::uint32_t log2_ceil(std::uint32_t n) noexcept {
-    std::uint32_t bits = 0;
-    while ((1u << bits) < n) ++bits;
-    return bits;
-  }
-
   // --- event loop -----------------------------------------------------
 
   void loop() {
@@ -257,7 +264,7 @@ class NodeRuntime {
       // traffic for the same reason: failure detection must not stall
       // behind the workload).
       if (now >= next_gossip) {
-        next_gossip = now + opt_.gossip_tick_ms;
+        next_gossip = now + kGossipTickMs;
         membership_->beat();
         membership_->age(now);
         for (std::uint32_t i = 0; i < membership_->gossip_fanout(); ++i) {
@@ -288,10 +295,7 @@ class NodeRuntime {
             // aggregate rate as the old fixed interval, but under loss
             // or delay chaos the cluster's hello bursts de-synchronize
             // instead of hammering in lockstep.
-            next_hello =
-                now + BackoffPolicy{opt_.hello_retry_ms, opt_.backoff_cap_ms,
-                                    opt_.backoff_jitter}
-                          .delay(hello_tries_++, backoff_rng_);
+            next_hello = now + BackoffPolicy{kRetryBaseMs}.delay(hello_tries_++, backoff_rng_);
             send_hello();
             send_hello();
           }
@@ -313,7 +317,7 @@ class NodeRuntime {
           }
           break;
         case Phase::kRootWait:
-          if (now - last_subtree_change_ >= opt_.subtree_stable_ms) {
+          if (now - last_subtree_change_ >= kSubtreeStableMs) {
             phase_ = Phase::kGossip;
           }
           break;
@@ -340,7 +344,7 @@ class NodeRuntime {
   }
 
   [[nodiscard]] std::uint32_t effective_quorum() const {
-    return std::min(opt_.bootstrap_quorum, opt_.n - 1);
+    return std::min(kBootstrapQuorum, opt_.n - 1);
   }
 
   // --- message handling -----------------------------------------------
@@ -352,10 +356,9 @@ class NodeRuntime {
       if (suppress_duplicate(f)) return;
     }
     switch (f.id) {
-      case MsgId::kHello: {
-        reply(f, MsgId::kHelloAck);
+      case MsgId::kHello:
+        ack(f);
         break;
-      }
       case MsgId::kHelloAck:
         if (f.src < opt_.n && !helloed_[f.src]) {
           helloed_[f.src] = true;
@@ -363,34 +366,25 @@ class NodeRuntime {
         }
         drop_pending(MsgId::kHello, f.src);
         break;
-      case MsgId::kPing: {
-        Frame pong = make_frame(MsgId::kPong, f.src);
-        pong.seq = f.seq;
-        pong.nonce = f.nonce;
-        udp_.send(pong);
+      case MsgId::kPing:
+        ack(f);
         break;
-      }
       case MsgId::kPong:
         break;  // heard_from above did the work
       case MsgId::kMemberGossip:
         for (std::uint8_t i = 0; i < f.n_members; ++i)
           membership_->merge(f.members[i], now);
         break;
-      case MsgId::kProbe: {
-        Frame ack = make_frame(MsgId::kProbeAck, f.src);
-        ack.seq = f.seq;
-        ack.max = rank_;
-        udp_.send(ack);
+      case MsgId::kProbe:
+        ack(f);
         break;
-      }
       case MsgId::kProbeAck:
         on_probe_ack(f, now);
         break;
-      case MsgId::kConnect: {
+      case MsgId::kConnect:
         add_child(f.src, now);
-        reply(f, MsgId::kConnectAck);
+        ack(f);
         break;
-      }
       case MsgId::kConnectAck:
         on_connect_ack(f, now);
         break;
@@ -436,7 +430,7 @@ class NodeRuntime {
     for (const std::uint64_t k : ring.keys) {
       if (k != key) continue;
       ++duplicates_dropped_;
-      reack(f);
+      ack(f);
       return true;
     }
     ring.keys[ring.next] = key;
@@ -444,50 +438,29 @@ class NodeRuntime {
     return false;
   }
 
-  /// Re-acks a suppressed duplicate request so the sender's retry ladder
-  /// terminates even when our first ack was lost.
-  void reack(const Frame& f) {
+  /// Sends the ack a request is owed: the first copy's, and a suppressed
+  /// duplicate's, so the sender's retry ladder terminates even when our
+  /// first ack was lost.  The probe ack carries our rank in the max slot.
+  void ack(const Frame& f) {
+    MsgId id;
     switch (f.id) {
-      case MsgId::kHello:
-        reply(f, MsgId::kHelloAck);
-        break;
-      case MsgId::kPing: {
-        Frame pong = make_frame(MsgId::kPong, f.src);
-        pong.seq = f.seq;
-        pong.nonce = f.nonce;
-        udp_.send(pong);
-        break;
-      }
-      case MsgId::kProbe: {
-        Frame ack = make_frame(MsgId::kProbeAck, f.src);
-        ack.seq = f.seq;
-        ack.max = rank_;
-        udp_.send(ack);
-        break;
-      }
-      case MsgId::kConnect:
-        reply(f, MsgId::kConnectAck);
-        break;
-      case MsgId::kTreeValue: {
-        Frame ack = make_frame(MsgId::kTreeAck, f.src);
-        ack.seq = f.seq;
-        ack.ver = f.ver;
-        udp_.send(ack);
-        break;
-      }
-      case MsgId::kTreeLeave: {
-        Frame ack = make_frame(MsgId::kTreeLeaveAck, f.src);
-        ack.seq = f.seq;
-        ack.ver = f.ver;
-        udp_.send(ack);
-        break;
-      }
-      case MsgId::kFinal:
-        reply(f, MsgId::kFinalAck);
-        break;
-      default:
-        break;  // acks, gossip, exchanges: the duplicate just dies here
+      case MsgId::kHello: id = MsgId::kHelloAck; break;
+      case MsgId::kPing: id = MsgId::kPong; break;
+      case MsgId::kProbe: id = MsgId::kProbeAck; break;
+      case MsgId::kConnect: id = MsgId::kConnectAck; break;
+      case MsgId::kTreeValue: id = MsgId::kTreeAck; break;
+      case MsgId::kTreeLeave: id = MsgId::kTreeLeaveAck; break;
+      case MsgId::kFinal: id = MsgId::kFinalAck; break;
+      default: return;  // acks, gossip, exchanges: the duplicate just dies here
     }
+    // Each ack echoes the request's seq; the codec carries only the
+    // fields its kind defines (the ping's nonce, the acked version).
+    Frame a = make_frame(id, f.src);
+    a.seq = f.seq;
+    a.nonce = f.nonce;
+    a.ver = f.ver;
+    if (id == MsgId::kProbeAck) a.max = rank_;
+    udp_.send(a);
   }
 
   // --- bootstrap ------------------------------------------------------
@@ -503,29 +476,32 @@ class NodeRuntime {
   }
 
   // --- Phase I: DRR ---------------------------------------------------
+  //
+  // Algorithm 1's rules are drr_rules_'s (drr/drr_rules.hpp), the ones
+  // the simulator runs; this section only moves their frames.  One probe
+  // or connect is in flight at a time, retried by the pending machinery,
+  // and its answer or give-up closes the exchange.
 
   void advance_phase1(std::int64_t now) {
-    if (settled_) return;
-    if (pending_parent_ != kNone) return;  // connect in flight (pending-driven)
-    if (find_pending(MsgId::kProbe) != nullptr) return;
-    if (attempts_ < probe_budget_) {
+    if (find_pending(MsgId::kProbe) != nullptr || find_pending(MsgId::kConnect) != nullptr)
+      return;
+    const DrrRules::Action action = drr_rules_.begin_round(drr_);
+    if (action == DrrRules::Action::kProbe)
       issue_probe(now);
-    } else {
-      become_root(now);  // budget exhausted, nobody higher-ranked: root
-    }
+    else if (action == DrrRules::Action::kConnect)
+      start_connect(now);
   }
 
   void issue_probe(std::int64_t now) {
-    auto target = static_cast<std::uint32_t>(drr_rng_.next_below(opt_.n));
-    if (target == opt_.node) target = (target + 1) % opt_.n;  // complete graph
-    ++attempts_;
+    const std::uint32_t target = drr_rules_.probe_target(
+        opt_.node, static_cast<std::uint32_t>(drr_rng_.next_below(opt_.n)));
     ++steps_;
     Frame p = make_frame(MsgId::kProbe, target);
-    p.a = attempts_;
+    p.a = drr_.attempts + 1;  // 1-based attempt index
     // A confirmed-dead target gets one send and a spent attempt -- the
     // simulator's lost-probe semantics, at one timeout's cost.
-    const std::uint32_t cap = membership_->is_dead(target) ? 1 : opt_.probe_retries;
-    add_pending(p, now, opt_.probe_timeout_ms, cap);
+    const std::uint32_t cap = membership_->is_dead(target) ? 1 : kProbeRetries;
+    add_pending(p, now, kRetryBaseMs, cap);
     udp_.send(p);
   }
 
@@ -533,31 +509,26 @@ class NodeRuntime {
     const Pending* p = find_pending(MsgId::kProbe);
     if (p == nullptr || p->dst != f.src || p->seq != f.seq) return;
     drop_pending(MsgId::kProbe, f.src);
-    if (f.max > rank_) {  // responder's rank rides the max slot
-      pending_parent_ = f.src;
-      start_connect(now);
-    }
+    DrrRules::probe_answered(drr_, f.src, f.max, rank_);  // rank rides the max slot
+    end_exchange(now);
+  }
+
+  /// An answered or abandoned probe closes the exchange.
+  void end_exchange(std::int64_t now) {
+    if (drr_rules_.end_round(drr_)) settle(now);
   }
 
   void start_connect(std::int64_t now) {
     ++steps_;
-    Frame c = make_frame(MsgId::kConnect, pending_parent_);
-    add_pending(c, now, opt_.connect_timeout_ms, opt_.connect_attempt_cap);
+    Frame c = make_frame(MsgId::kConnect, drr_.pending_parent);
+    add_pending(c, now, kRetryBaseMs, drr_rules_.connect_cap);
     udp_.send(c);
   }
 
   void on_connect_ack(const Frame& f, std::int64_t now) {
-    if (settled_ || f.src != pending_parent_) return;
+    if (drr_.settled || f.src != drr_.pending_parent) return;
     drop_pending(MsgId::kConnect, f.src);
-    parent_ = pending_parent_;
-    pending_parent_ = kNone;
-    settle(now);
-  }
-
-  void become_root(std::int64_t now) {
-    root_ = true;
-    parent_ = kNone;
-    pending_parent_ = kNone;
+    DrrRules::connected(drr_, f.src);
     settle(now);
   }
 
@@ -566,7 +537,7 @@ class NodeRuntime {
   /// reaches Phase III instead of vanishing (and the child terminates
   /// with a value instead of waiting for a final that will never come).
   void promote_to_root(std::int64_t now) {
-    if (root_ || !settled_) return;
+    if (root_ || !drr_.settled) return;
     const std::uint32_t old_parent = parent_;
     root_ = true;
     parent_ = kNone;
@@ -587,13 +558,15 @@ class NodeRuntime {
     if (reconverge_ && old_parent != kNone) {
       Frame lv = make_frame(MsgId::kTreeLeave, old_parent);
       lv.ver = subtree_ver_;
-      add_pending(lv, now, opt_.tree_timeout_ms, kTreeLeaveRetryCap);
+      add_pending(lv, now, kRetryBaseMs, kTreeLeaveRetryCap);
       udp_.send(lv);
     }
   }
 
+  /// Phase I is over: Phase II starts from its outcome.
   void settle(std::int64_t now) {
-    settled_ = true;
+    parent_ = drr_.parent;
+    root_ = parent_ == kNone;
     recompute_subtree(now);
     if (root_) {
       last_subtree_change_ = now;
@@ -613,16 +586,7 @@ class NodeRuntime {
     // A child attaching after the result went out (a late joiner, or a
     // straggler whose connect crossed a heal) still gets the current
     // final; its value then re-folds through the normal tree push.
-    if (reconverge_ && have_final_) {
-      Frame fin = make_frame(MsgId::kFinal, child);
-      fin.max = final_.max;
-      fin.min = final_.min;
-      fin.sum = final_.sum;
-      fin.count = final_.count;
-      fin.ver = final_ver_;
-      add_pending(fin, now, opt_.final_timeout_ms, opt_.final_retries);
-      udp_.send(fin);
-    }
+    if (reconverge_ && have_final_) send_final(child, now);
   }
 
   void on_tree_value(const Frame& f, std::int64_t now) {
@@ -640,10 +604,7 @@ class NodeRuntime {
       }
       break;
     }
-    Frame ack = make_frame(MsgId::kTreeAck, f.src);
-    ack.seq = f.seq;
-    ack.ver = f.ver;
-    udp_.send(ack);
+    ack(f);
   }
 
   void on_tree_leave(const Frame& f, std::int64_t now) {
@@ -656,14 +617,11 @@ class NodeRuntime {
       }
       break;
     }
-    Frame ack = make_frame(MsgId::kTreeLeaveAck, f.src);
-    ack.seq = f.seq;
-    ack.ver = f.ver;
-    udp_.send(ack);  // always: the retraction must stop retrying
+    ack(f);  // always: the retraction must stop retrying
   }
 
   void recompute_subtree(std::int64_t now) {
-    if (!settled_) return;
+    if (!drr_.settled) return;
     Stats next = own_stats_;
     for (const ChildSlot& s : children_)
       if (s.seen) next.merge(s.stats);
@@ -690,7 +648,7 @@ class NodeRuntime {
     t.sum = subtree_.sum;
     t.count = subtree_.count;
     t.ver = subtree_ver_;
-    add_pending(t, now, opt_.tree_timeout_ms, opt_.tree_retries);
+    add_pending(t, now, kRetryBaseMs, kTreeRetries);
     udp_.send(t);
   }
 
@@ -738,7 +696,7 @@ class NodeRuntime {
     if (peer >= opt_.n) {
       ++quiet_;  // nobody left to learn from
     } else {
-      send_table(MsgId::kRootExchange, peer, opt_.relay_ttl);
+      send_table(MsgId::kRootExchange, peer, kRelayTtl);
     }
     // Completeness gate on top of the stability heuristics: a laggard
     // subtree (CPU-starved process, slow link) can announce its entry
@@ -758,15 +716,15 @@ class NodeRuntime {
       if (joiner_[v] && (v == opt_.node || !membership_->is_dead(v)) && expect > 0)
         --expect;
     const bool complete = covered >= expect;
-    if (exchanges_ >= min_exchanges_ && quiet_ >= opt_.quiet_exchanges &&
-        now - last_table_change_ >= 2 * opt_.gossip_tick_ms &&
-        (complete || now >= opt_.finalize_fallback_ms)) {
+    if (exchanges_ >= min_exchanges_ && quiet_ >= kQuietExchanges &&
+        now - last_table_change_ >= 2 * kGossipTickMs &&
+        (complete || now >= kFinalizeFallbackMs)) {
       finalize(now);
     }
   }
 
   void on_root_exchange(const Frame& f, std::int64_t now) {
-    if (!settled_) return;  // cannot relay yet; originator will retry
+    if (!drr_.settled) return;  // cannot relay yet; originator will retry
     if (!root_) {
       if (f.a == 0 || parent_ == kNone) return;  // TTL exhausted / orphaned
       Frame relay = f;  // src stays the originator: the ack goes direct
@@ -775,7 +733,13 @@ class NodeRuntime {
       udp_.send(relay);
       return;
     }
-    if (f.src == opt_.node) return;  // an exchange of ours walked home
+    if (f.src == opt_.node) {
+      // An exchange of ours walked home through our own tree: it met no
+      // other root, which is as quiet as an unchanged ack.  Without this a
+      // root whose peers already finalized and left never goes quiet.
+      ++quiet_;
+      return;
+    }
     if (merge_table(f)) {
       last_table_change_ = now;
       quiet_ = 0;
@@ -836,19 +800,23 @@ class NodeRuntime {
     drop_pending_all(MsgId::kFinal);  // superseded spreads stop retrying
     for (const ChildSlot& s : children_) {
       if (s.departed_ver > 0 && !s.seen) continue;  // promoted away: a root now
-      Frame fin = make_frame(MsgId::kFinal, s.child);
-      fin.max = final_.max;
-      fin.min = final_.min;
-      fin.sum = final_.sum;
-      fin.count = final_.count;
-      fin.ver = final_ver_;
-      add_pending(fin, now, opt_.final_timeout_ms, opt_.final_retries);
-      udp_.send(fin);
+      send_final(s.child, now);
     }
   }
 
+  void send_final(std::uint32_t child, std::int64_t now) {
+    Frame fin = make_frame(MsgId::kFinal, child);
+    fin.max = final_.max;
+    fin.min = final_.min;
+    fin.sum = final_.sum;
+    fin.count = final_.count;
+    fin.ver = final_ver_;
+    add_pending(fin, now, kRetryBaseMs, kTreeRetries);
+    udp_.send(fin);
+  }
+
   void on_final(const Frame& f, std::int64_t now) {
-    reply(f, MsgId::kFinalAck);
+    ack(f);
     // A promoted orphan is a root in its own right: it acks (the old
     // parent must stop retrying) but reaches its result through Phase
     // III, never by adopting a fold that may lack its retracted subtree.
@@ -880,7 +848,7 @@ class NodeRuntime {
       peer = membership_->sample_live_peer(aux_rng_);
       if (peer >= opt_.n) return;
     }
-    send_table(MsgId::kRootExchange, peer, opt_.relay_ttl);
+    send_table(MsgId::kRootExchange, peer, kRelayTtl);
   }
 
   // --- pending / retry machinery --------------------------------------
@@ -948,8 +916,7 @@ class NodeRuntime {
       // resends spread out instead of re-colliding with whatever chaos
       // ate the original.
       const std::int64_t wait =
-          BackoffPolicy{p.timeout, opt_.backoff_cap_ms, opt_.backoff_jitter}.delay(
-              p.attempts - 1, backoff_rng_);
+          BackoffPolicy{p.timeout}.delay(p.attempts - 1, backoff_rng_);
       backoff_ms_total_ +=
           static_cast<std::uint64_t>(std::max<std::int64_t>(0, wait - p.timeout));
       ++p.attempts;
@@ -968,12 +935,10 @@ class NodeRuntime {
       case MsgId::kHello:
         break;  // bootstrap keeps trying fresh peers on its own timer
       case MsgId::kProbe:
-        break;  // attempt spent (the sampled node told us nothing)
+        end_exchange(now);  // unanswered: the attempt is spent
+        break;
       case MsgId::kConnect:
-        // Retry budget exhausted: root by exhaustion, the paper's loss
-        // fallback.
-        pending_parent_ = kNone;
-        become_root(now);
+        if (DrrRules::connect_exhausted(drr_)) settle(now);
         break;
       case MsgId::kTreeValue:
         // Parent unreachable (crashed mid-run): promote to root so this
@@ -1002,11 +967,12 @@ class NodeRuntime {
   std::int64_t start_delay_ = 0;  ///< joiner: cluster-clock ms slept before bind
   bool halted_by_schedule_ = false;
 
+  DrrRules drr_rules_;
+  DrrNode drr_{};
   Rng drr_rng_{};
+  double rank_ = 0.0;
   Rng aux_rng_{};
   Rng backoff_rng_{};
-  double rank_ = 0.0;
-  std::uint32_t probe_budget_ = 0;
   std::uint32_t min_exchanges_ = 0;
 
   ChaosSpec chaos_{};
@@ -1026,10 +992,7 @@ class NodeRuntime {
   std::vector<bool> helloed_ = std::vector<bool>(opt_.n, false);
   std::uint32_t hello_acks_ = 0;
 
-  std::uint32_t attempts_ = 0;
-  std::uint32_t pending_parent_ = kNone;
-  std::uint32_t parent_ = kNone;
-  bool settled_ = false;
+  std::uint32_t parent_ = kNone;  ///< Phase II tree parent (orphans promote away)
   bool root_ = false;
 
   Stats own_stats_{};
@@ -1049,12 +1012,6 @@ class NodeRuntime {
   std::uint32_t final_ver_ = 0;  ///< monotone per spread lineage
   std::int64_t linger_until_ = 0;
   std::string error_;
-
-  void reply(const Frame& to, MsgId id) {
-    Frame r = make_frame(id, to.src);
-    r.seq = to.seq;  // acks echo the request's sequence number
-    udp_.send(r);
-  }
 };
 
 }  // namespace

@@ -10,12 +10,14 @@
 //               answers or a deadline passes -- a dropped bootstrap
 //               packet degrades (retry, then proceed) instead of
 //               hanging;
-//   Phase I     DRR (Algorithm 1) over kProbe/kConnect envelopes: the
-//               node draws its rank from the *same* RngFactory stream
-//               the simulator uses, probes log2(n)-1 peers with
-//               per-peer retry/timeout, and connects to the first
-//               higher-ranked responder (retry-capped, root on
-//               exhaustion -- the paper's loss semantics);
+//   Phase I     DRR (Algorithm 1) over kProbe/kConnect envelopes, by
+//               the simulator's own rules (drr/drr_rules.hpp): the
+//               node draws its rank from the *same* RngFactory stream,
+//               probes the same targets in the same order and connects
+//               to the first higher-ranked responder (retry-capped,
+//               root on exhaustion -- the paper's loss semantics).  The
+//               node adds only per-peer retry/backoff and dedup, so on
+//               a clean run every node's parent equals run_drr's;
 //   Phase II    convergecast as monotone push: every settled node
 //               (re)sends its current subtree stats {max,min,sum,count}
 //               up-tree whenever they change, parents merge per-child
@@ -32,7 +34,7 @@
 //               serve stragglers and exits with a machine-readable
 //               report.
 //
-// Fault schedule: the node computes sim::fault_timeline(n, seed,
+// Fault schedule: the node computes sim::full_timeline(n, seed,
 // faults) -- a pure function of the root seed, so every process and the
 // simulator agree on it without coordination.  A node whose death round
 // is 0 reports itself crashed and never binds; a mid-run death round r
@@ -41,9 +43,11 @@
 // rounds).  Link loss can be injected on the send path with the same
 // Bernoulli model the simulator applies.
 //
-// Every wall-clock knob lives in NodeOptions with conservative localhost
-// defaults, and the whole run is bounded by deadline_ms: a wedged peer
-// set produces a failed report, never a hung process.
+// NodeOptions holds the deployment settings and the few timings that
+// run_cluster's callers widen (bootstrap, linger, deadline); the
+// protocol's retry and gossip timings are constants in node.cpp.  The whole run is
+// bounded by deadline_ms: a wedged peer set produces a failed report,
+// never a hung process.
 
 #include <cstdint>
 #include <string>
@@ -68,39 +72,14 @@ struct NodeOptions {
   std::uint16_t bind_port = 0;      ///< 0 = port_base + node
   std::vector<PeerAddr> seed_list;  ///< position i = node i (overrides port_base)
 
-  // -- bootstrap -------------------------------------------------------
-  std::uint32_t bootstrap_quorum = 3;      ///< hello-acks before proceeding
-  std::int64_t bootstrap_min_ms = 250;     ///< floor (lets slow peers bind)
+  // -- timing: what a deployment or a cluster launch may need to widen --
+  std::int64_t bootstrap_min_ms = 250;       ///< floor (lets slow peers bind)
   std::int64_t bootstrap_timeout_ms = 4000;  ///< proceed regardless after this
-  std::int64_t hello_retry_ms = 150;
-
-  // -- Phase I ---------------------------------------------------------
-  std::uint32_t probe_budget = 0;  ///< 0 = the paper's log2(n) - 1
-  std::int64_t probe_timeout_ms = 150;
-  std::uint32_t probe_retries = 3;     ///< resends per attempt (then spent)
-  std::uint32_t connect_attempt_cap = 8;  ///< as DrrConfig
-  std::int64_t connect_timeout_ms = 150;
-
-  // -- Phase II / III --------------------------------------------------
-  std::int64_t tree_timeout_ms = 150;
-  std::uint32_t tree_retries = 25;       ///< then orphan-promote to root
-  std::int64_t subtree_stable_ms = 400;  ///< root quiescence before gossip
-  std::int64_t gossip_tick_ms = 100;
-  std::uint32_t min_exchanges = 0;  ///< 0 = max(8, 2 log2 n)
-  std::uint32_t quiet_exchanges = 3;
-  /// Roots hold the finalize until the fold covers every peer membership
-  /// still presumes live; past this mark they finalize on quiescence
-  /// alone (liveness under pathological loss -- degrade, don't hang).
-  std::int64_t finalize_fallback_ms = 8000;
-  std::uint32_t relay_ttl = 24;
-  std::int64_t final_timeout_ms = 150;
-  std::uint32_t final_retries = 25;
-  std::int64_t linger_ms = 2000;
-
+  std::int64_t linger_ms = 2000;  ///< serve stragglers after the final value
   /// Hard wall-clock bound on the whole run.
   std::int64_t deadline_ms = 30000;
 
-  // -- adversity / timing ----------------------------------------------
+  // -- adversity -------------------------------------------------------
   /// Datagram-level chaos (drop/dup/reorder/delay/corrupt/cut), layered
   /// on by ChaosTransport; zero = byte-identical passthrough.
   ChaosSpec chaos{};
@@ -112,10 +91,6 @@ struct NodeOptions {
   /// false: the multiproc driver owns mid-run deaths (real SIGKILL); the
   /// node never halts itself on its death mark.
   bool self_halt = true;
-  // Retransmission backoff (see net/backoff.hpp): each pending's timeout
-  // is the base; retries double it up to the cap plus seeded jitter.
-  std::int64_t backoff_cap_ms = 1000;
-  double backoff_jitter = 0.25;
 };
 
 /// What one node process reports when it exits (serialised over a pipe

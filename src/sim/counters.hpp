@@ -191,6 +191,13 @@ struct FaultSchedule {
   [[nodiscard]] bool has_partitions() const noexcept { return !partitions.empty(); }
   [[nodiscard]] bool has_joins() const noexcept { return !joins.empty(); }
 
+  /// True when the schedule holds events that real processes can only
+  /// place on a wall clock (a mark at round * round_ms): block crashes,
+  /// partitions, joins or latency.
+  [[nodiscard]] bool needs_wall_clock() const noexcept {
+    return has_blocks() || has_partitions() || has_joins() || !latency.zero();
+  }
+
   /// True when the schedule can neither lose, delay, disconnect nor crash
   /// anything.  This is the dispatch predicate for the protocols' flat
   /// fault-free executors: under it, the generic engine path and the flat

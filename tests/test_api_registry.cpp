@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -109,6 +110,37 @@ TEST(Run, ExplicitValuesAreUsed) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value, 99.0);
   EXPECT_EQ(r.truth, 99.0);
+}
+
+TEST(Run, RejectsBadNodeCountsAndValuesForEveryAlgorithm) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(), inf, -inf};
+  for (const AlgorithmInfo* algo : Registry::instance().algorithms()) {
+    for (const Aggregate agg : algo->aggregates) {
+      const std::string cell = algo->name + "/" + std::string{to_string(agg)};
+      for (const std::uint32_t n : {0u, 1u}) {
+        const RunReport r = run(algo->name, make_spec(n, agg));
+        EXPECT_FALSE(r.ok()) << cell << " n=" << n;
+        EXPECT_FALSE(r.error.empty()) << cell << " n=" << n;
+      }
+      for (const double bad : bad_values) {
+        RunSpec spec = make_spec(8, agg);
+        spec.values = {1, 2, 3, bad, 5, 6, 7, 8};
+        const RunReport r = run(algo->name, spec);
+        EXPECT_FALSE(r.ok()) << cell << " value " << bad;
+        EXPECT_FALSE(r.error.empty()) << cell << " value " << bad;
+      }
+      for (const std::size_t size : {std::size_t{7}, std::size_t{9}}) {
+        RunSpec spec = make_spec(8, agg);
+        spec.values.assign(size, 1.0);  // not one value per node
+        const RunReport r = run(algo->name, spec);
+        EXPECT_FALSE(r.ok()) << cell << " " << size << " values";
+        EXPECT_FALSE(r.error.empty()) << cell << " " << size << " values";
+      }
+      const RunReport two = run(algo->name, make_spec(2, agg));
+      EXPECT_TRUE(two.ok()) << cell << " n=2: " << two.error;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

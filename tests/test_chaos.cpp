@@ -323,7 +323,6 @@ TEST(ChaosCluster, DupReorderCorruptClusterComputesEveryAggregateExactly) {
   ASSERT_TRUE(spec.has_value());
   opt.node_template.chaos = *spec;
   opt.node_template.bootstrap_min_ms = 150;
-  opt.node_template.subtree_stable_ms = 250;
   opt.node_template.linger_ms = 500;
   opt.node_template.deadline_ms = 20000;
   const net::ClusterReport cluster = net::run_cluster(opt);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "drr/drr.hpp"
 #include "net/membership.hpp"
 #include "net/multiproc.hpp"
 #include "net/node.hpp"
@@ -255,7 +256,6 @@ TEST(Cluster, CleanRunComputesEveryAggregateExactly) {
   // Localhost is fast: shrink the wall-clock knobs so the suite stays
   // snappy (the CI smoke run exercises the defaults at N = 64).
   opt.node_template.bootstrap_min_ms = 150;
-  opt.node_template.subtree_stable_ms = 250;
   opt.node_template.linger_ms = 300;
   opt.node_template.deadline_ms = 20000;
   const net::ClusterReport cluster = net::run_cluster(opt);
@@ -267,6 +267,34 @@ TEST(Cluster, CleanRunComputesEveryAggregateExactly) {
     EXPECT_EQ(r.min, 1.0) << "node " << r.node;
     EXPECT_EQ(r.sum, 39.0) << "node " << r.node;
     EXPECT_EQ(r.count, kN) << "node " << r.node;
+  }
+}
+
+TEST(Cluster, PhaseOneForestMatchesTheSimulator) {
+  if (!net::multiproc_available()) GTEST_SKIP() << "no fork/UDP on this platform";
+  // The UDP node runs Phase I by the simulator's rules on the same RNG
+  // streams, so on a clean cluster it builds run_drr's forest, parent for
+  // parent -- a stronger check than the folded end value.
+  struct Case {
+    std::uint32_t n;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{16, 1}, Case{16, 2}, Case{16, 3}, Case{48, 4}}) {
+    net::ClusterOptions opt;
+    opt.n = c.n;
+    opt.seed = c.seed;
+    opt.node_template.bootstrap_min_ms = 150;
+    opt.node_template.linger_ms = 300;
+    opt.node_template.deadline_ms = 20000;
+    const net::ClusterReport cluster = net::run_cluster(opt);
+    ASSERT_TRUE(cluster.ok) << "n " << c.n << " seed " << c.seed << ": " << cluster.error;
+    ASSERT_EQ(cluster.nodes.size(), c.n);
+    const Forest forest = run_drr(c.n, RngFactory{c.seed}).forest;
+    for (const net::NodeReport& r : cluster.nodes) {
+      const NodeId want = forest.parent(r.node);
+      EXPECT_EQ(r.parent, want == kNoParent ? 0xffffffffu : want)
+          << "n " << c.n << " seed " << c.seed << " node " << r.node;
+    }
   }
 }
 

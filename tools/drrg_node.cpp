@@ -192,9 +192,7 @@ int main(int argc, char** argv) {
   opt.faults.partitions = std::move(partitions);
   opt.faults.joins = std::move(joins);
   opt.faults.latency = latency;
-  if ((opt.faults.has_blocks() || opt.faults.has_partitions() ||
-       opt.faults.has_joins() || !opt.faults.latency.zero()) &&
-      opt.round_ms <= 0) {
+  if (opt.faults.needs_wall_clock() && opt.round_ms <= 0) {
     std::fprintf(stderr,
                  "--block-crash/--partition/--join/--latency need --round-ms > 0 "
                  "to place rounds on the wall clock\n");
