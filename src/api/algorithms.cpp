@@ -320,8 +320,7 @@ RunReport run_drr_udp(const RunSpec& spec, RunReport report) {
   copt.port_base = spec.udp_port_base;
   copt.node_template.chaos = chaos;
   copt.node_template.round_ms = round_ms;
-  copt.real_kills = round_ms > 0;
-  if (copt.real_kills) {
+  if (round_ms > 0) {
     // Real SIGKILLs land on the bootstrap barrier: every node holds in
     // bootstrap until the last scheduled death mark has passed, so a
     // victim answers hellos and then vanishes ungracefully but never

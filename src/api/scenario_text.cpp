@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace drrg::api {
 
@@ -254,6 +255,25 @@ std::string format_latency(const sim::LatencyModel& latency) {
       break;
   }
   return buf;
+}
+
+bool is_schedule_flag(std::string_view flag) {
+  return flag == "--churn" || flag == "--join" || flag == "--block-crash" ||
+         flag == "--partition" || flag == "--latency";
+}
+
+bool apply_schedule_flag(std::string_view flag, std::string_view text,
+                         sim::FaultSchedule& faults) {
+  const auto store = [](auto parsed, auto& field) {
+    if (parsed.has_value()) field = std::move(*parsed);
+    return parsed.has_value();
+  };
+  if (flag == "--churn") return store(parse_churn(text), faults.churn);
+  if (flag == "--join") return store(parse_joins(text), faults.joins);
+  if (flag == "--block-crash") return store(parse_blocks(text), faults.blocks);
+  if (flag == "--partition") return store(parse_partitions(text), faults.partitions);
+  if (flag == "--latency") return store(parse_latency(text), faults.latency);
+  return false;
 }
 
 namespace {

@@ -1,6 +1,6 @@
 #pragma once
-// Text <-> scenario parsing shared by drrg_cli and the bench harnesses,
-// so every front-end spells topologies and fault schedules the same way:
+// Text <-> scenario parsing shared by the front-ends (drrg_cli, drrg_node,
+// the bench harnesses), so all spell topologies and fault schedules alike:
 //
 //   --topology    complete | chord-ring | random-regular | grid | torus
 //   --churn       R:F[,R:F...]   e.g. "10:0.1,20:0.05" -- crash 10% of the
@@ -78,6 +78,15 @@ namespace drrg::api {
 
 /// "fixed:3" / "uniform:0-4" / "tail:1-16:0.05" rendering ("" when zero).
 [[nodiscard]] std::string format_latency(const sim::LatencyModel& latency);
+
+/// True for --churn, --join, --block-crash, --partition and --latency.
+[[nodiscard]] bool is_schedule_flag(std::string_view flag);
+
+/// Parses `text` as schedule flag `flag`'s value into its field of
+/// `faults`.  False, leaving `faults` alone, on malformed text or a
+/// flag that is not a schedule flag.
+[[nodiscard]] bool apply_schedule_flag(std::string_view flag, std::string_view text,
+                                       sim::FaultSchedule& faults);
 
 /// Parses a chaos spec (grammar in the header comment).  "" and "none"
 /// parse to the zero spec (passthrough).  Probabilities are in (0, 1].

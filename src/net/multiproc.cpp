@@ -116,7 +116,7 @@ ClusterReport run_cluster(const ClusterOptions& options) {
     timeline = sim::full_timeline(options.n, RngFactory{options.seed}, options.faults);
   }
   const auto midrun_victim = [&](std::uint32_t v) {
-    return options.real_kills && round_ms > 0 && v < timeline.death.size() &&
+    return round_ms > 0 && v < timeline.death.size() &&
            timeline.death[v] != 0 && timeline.death[v] != sim::kNeverCrashes;
   };
 
@@ -196,7 +196,7 @@ ClusterReport run_cluster(const ClusterOptions& options) {
   while (true) {
     // Deliver scheduled kills whose wall marks have passed: correlated
     // block outages land as a burst of real SIGKILLs, not clean exits.
-    if (options.real_kills && round_ms > 0) {
+    if (round_ms > 0) {
       const std::int64_t now = std::chrono::duration_cast<std::chrono::milliseconds>(
                                    Clock::now() - t0)
                                    .count();

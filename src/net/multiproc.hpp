@@ -36,16 +36,12 @@ struct ClusterOptions {
   /// non-local address simply fails each child's bind.
   std::vector<PeerAddr> seed_list;
   /// Template for per-node timing knobs (node/n/seed/faults/ports are
-  /// overwritten per child).  chaos / round_ms / self_halt flow through
-  /// to every child unchanged (except as real_kills overrides below).
+  /// overwritten per child); chaos / round_ms / self_halt reach every
+  /// child.  With round_ms > 0 mid-run deaths from the fault timeline are
+  /// *real* SIGKILLs from the parent at death_round * round_ms on the
+  /// cluster clock: the victim runs with self_halt off and dies
+  /// mid-syscall.  Round-0 victims never spawn.
   NodeOptions node_template{};
-  /// With node_template.round_ms > 0: mid-run deaths from the fault
-  /// timeline become *real* SIGKILLs delivered by the parent at
-  /// death_round * round_ms on the cluster clock, instead of the
-  /// victim's own clean self-halt -- the victim runs with self_halt off
-  /// and dies mid-syscall like an actual crash.  Round-0 victims still
-  /// never spawn (the child reports scheduled_crash and exits).
-  bool real_kills = false;
 };
 
 struct ClusterReport {

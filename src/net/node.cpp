@@ -70,8 +70,8 @@ struct ChildSlot {
   Stats stats{};
   bool seen = false;
   /// Highest kTreeLeave version from this child: the subtree retracted
-  /// itself (orphan promotion across a partition) and tree values at or
-  /// below this version are stale echoes, never re-adopted.
+  /// itself (orphan promotion) and tree values at or below this version
+  /// are stale echoes, never re-adopted.
   std::uint32_t departed_ver = 0;
 };
 
@@ -161,17 +161,11 @@ class NodeRuntime {
     // Fold the schedule's transport-level adversity (partitions,
     // latency) into the chaos spec; deaths/births stay real (SIGKILL /
     // late spawn).  A zero spec keeps the transport in passthrough.
-    chaos_ = chaos_with_faults(opt_.chaos, opt_.faults, opt_.round_ms);
-    if (!chaos_.zero()) {
-      udp_.set_chaos(chaos_, opt_.node, rngs_.node_stream(opt_.node, 0xc4a05ULL),
+    const ChaosSpec chaos = chaos_with_faults(opt_.chaos, opt_.faults, opt_.round_ms);
+    if (!chaos.zero()) {
+      udp_.set_chaos(chaos, opt_.node, rngs_.node_stream(opt_.node, 0xc4a05ULL),
                      start_delay_);
     }
-    // Partitions heal and joiners arrive after roots may already have
-    // finalized: arm the post-final re-convergence machinery (versioned
-    // finals, retraction, resurrection sampling) only for those runs so
-    // every other schedule keeps today's termination behavior.
-    reconverge_ = !chaos_.cuts.empty() ||
-                  (opt_.round_ms > 0 && !opt_.faults.joins.empty());
     backoff_rng_ = rngs_.node_stream(opt_.node, 0xb0ffULL);
     dedup_.assign(opt_.n, DedupRing{});
 
@@ -277,13 +271,15 @@ class NodeRuntime {
           d.seq = next_seq();
           udp_.send(d);
         }
-        if (phase_ == Phase::kGossip) {
+        if (phase_ == Phase::kGossip ||
+            (root_ && have_final_ && (phase_ == Phase::kSpread || phase_ == Phase::kLinger)))
           gossip_tick(now);
-        } else if (reconverge_ && root_ && have_final_ &&
-                   (phase_ == Phase::kSpread || phase_ == Phase::kLinger)) {
-          post_final_tick(now);
-        }
       }
+
+      // A settled non-root pushes its subtree whenever it changed and no
+      // tree value is in flight: the Phase II convergecast, and after the
+      // final a correction (a child retracted or re-reported).
+      if (!root_ && dirty_ && find_pending(MsgId::kTreeValue) == nullptr) push_tree(now);
 
       switch (phase_) {
         case Phase::kBootstrap:
@@ -304,10 +300,7 @@ class NodeRuntime {
           advance_phase1(now);
           break;
         case Phase::kTree:
-          if (dirty_ && find_pending(MsgId::kTreeValue) == nullptr) {
-            push_tree(now);
-          } else if (!dirty_ && find_pending(MsgId::kTreeValue) == nullptr &&
-                     parent_ != kNone && membership_->is_dead(parent_)) {
+          if (find_pending(MsgId::kTreeValue) == nullptr && membership_->is_dead(parent_)) {
             // Value acked, now passively waiting for the parent's final --
             // but the failure detector says the parent died (mid-run
             // churn).  There is no pending send whose retries could
@@ -321,23 +314,18 @@ class NodeRuntime {
             phase_ = Phase::kGossip;
           }
           break;
-        case Phase::kGossip:
-          break;  // driven by gossip_tick above
         case Phase::kSpread:
-          if (reconverge_ && !root_ && dirty_ && parent_ != kNone &&
-              find_pending(MsgId::kTreeValue) == nullptr) {
-            push_tree(now);  // post-final correction (a child retracted)
-          }
-          if (find_pending(MsgId::kFinal) == nullptr) {
+          // A final to a child believed dead keeps retrying but does not
+          // hold the spread.
+          if (std::none_of(pending_.begin(), pending_.end(), [&](const Pending& p) {
+                return p.kind == MsgId::kFinal && !membership_->is_dead(p.dst);
+              })) {
             linger_until_ = now + opt_.linger_ms;
             phase_ = Phase::kLinger;
           }
           break;
+        case Phase::kGossip:  // driven by gossip_tick above
         case Phase::kLinger:
-          if (reconverge_ && !root_ && dirty_ && parent_ != kNone &&
-              find_pending(MsgId::kTreeValue) == nullptr) {
-            push_tree(now);
-          }
           break;
       }
     }
@@ -552,10 +540,11 @@ class NodeRuntime {
     quiet_ = 0;
     phase_ = Phase::kRootWait;
     // Retract our subtree from the old parent's slot: we now announce it
-    // ourselves, and without the retraction the fold counts it twice
-    // once a healed partition lets both announcements meet.  Retried
-    // through the cut (exempt from the dead-peer fast path) until acked.
-    if (reconverge_ && old_parent != kNone) {
+    // ourselves, and the old parent may be alive (a lossy link spent our
+    // retries, or a partition heals), so without the retraction the fold
+    // counts it twice.  Retried through a cut (exempt from the dead-peer
+    // fast path) until acked.
+    if (old_parent != kNone) {
       Frame lv = make_frame(MsgId::kTreeLeave, old_parent);
       lv.ver = subtree_ver_;
       add_pending(lv, now, kRetryBaseMs, kTreeLeaveRetryCap);
@@ -584,9 +573,9 @@ class NodeRuntime {
       if (s.child == child) return;
     children_.push_back(ChildSlot{child, 0, Stats{}, false, 0});
     // A child attaching after the result went out (a late joiner, or a
-    // straggler whose connect crossed a heal) still gets the current
+    // straggler whose connect spent its backoff) still gets the current
     // final; its value then re-folds through the normal tree push.
-    if (reconverge_ && have_final_) send_final(child, now);
+    if (have_final_) send_final(child, now);
   }
 
   void on_tree_value(const Frame& f, std::int64_t now) {
@@ -689,15 +678,22 @@ class NodeRuntime {
     }
   }
 
+  /// Phase III push of the table, then the finalize gate.  After the
+  /// result went out a root keeps pushing and alternates the live sample
+  /// with a uniform draw over *all* ids: after a heal the peers that
+  /// matter most are exactly the ones membership still believes dead --
+  /// only an unconditional contact can revive them (resurrection sampling).
   void gossip_tick(std::int64_t now) {
     ++steps_;
+    const bool finalized = phase_ != Phase::kGossip;
+    resurrect_ = finalized && !resurrect_;
+    std::uint32_t peer = resurrect_ ? static_cast<std::uint32_t>(aux_rng_.next_below(opt_.n))
+                                    : membership_->sample_live_peer(aux_rng_);
+    if (resurrect_ && peer == opt_.node) peer = (peer + 1) % opt_.n;
+    if (peer < opt_.n) send_table(MsgId::kRootExchange, peer, kRelayTtl);
+    if (finalized) return;
     ++exchanges_;
-    const std::uint32_t peer = membership_->sample_live_peer(aux_rng_);
-    if (peer >= opt_.n) {
-      ++quiet_;  // nobody left to learn from
-    } else {
-      send_table(MsgId::kRootExchange, peer, kRelayTtl);
-    }
+    if (peer >= opt_.n) ++quiet_;  // nobody left to learn from
     // Completeness gate on top of the stability heuristics: a laggard
     // subtree (CPU-starved process, slow link) can announce its entry
     // *after* min_exchanges went quiet, so quiescence alone may finalize
@@ -780,17 +776,11 @@ class NodeRuntime {
   }
 
   /// Post-final convergence: when the table changes after the result
-  /// went out (a healed partition delivered another island's entries, a
-  /// joiner's subtree landed), a root folds again and re-spreads under a
-  /// higher version.  Gated on reconverge_ so ordinary runs never
-  /// reopen a finalized result.
+  /// went out (a late root's entry, a retracted or re-reported subtree,
+  /// a healed partition's other island), a root folds again and
+  /// re-spreads under a higher version.
   void refinalize(std::int64_t now) {
-    if (!reconverge_ || !root_ || !have_final_) return;
-    const Stats next = fold_table();
-    if (next == final_) return;
-    final_ = next;
-    ++final_ver_;
-    spread_final(now);
+    if (root_ && have_final_ && fold_table() != final_) finalize(now);
   }
 
   // --- result spread --------------------------------------------------
@@ -827,28 +817,9 @@ class NodeRuntime {
     final_ = Stats{f.max, f.min, f.sum, f.count};
     final_ver_ = f.ver;
     have_final_ = true;
-    drop_pending(MsgId::kTreeValue, parent_);  // the tree's job is done
+    // A tree value still in flight keeps retrying: the fold may lack it,
+    // and once the parent has it the correction re-folds up to the root.
     spread_final(now);
-  }
-
-  /// Root gossip after the result went out: alternates the membership's
-  /// live sample with a uniform draw over *all* ids, because after a
-  /// heal the peers that matter most are exactly the ones membership
-  /// still believes dead -- only an unconditional contact can revive
-  /// them (resurrection sampling).
-  void post_final_tick(std::int64_t now) {
-    (void)now;
-    ++steps_;
-    resurrect_ = !resurrect_;
-    std::uint32_t peer;
-    if (resurrect_) {
-      peer = static_cast<std::uint32_t>(aux_rng_.next_below(opt_.n));
-      if (peer == opt_.node) peer = (peer + 1) % opt_.n;
-    } else {
-      peer = membership_->sample_live_peer(aux_rng_);
-      if (peer >= opt_.n) return;
-    }
-    send_table(MsgId::kRootExchange, peer, kRelayTtl);
   }
 
   // --- pending / retry machinery --------------------------------------
@@ -901,12 +872,12 @@ class NodeRuntime {
       if (now < p.deadline) continue;
       // Confirmed-dead destination: spend the remaining budget at once
       // instead of walking the whole backoff ladder -- except for the
-      // retraction, which must keep trying *through* a cut the failure
-      // detector mistakes for a death.
+      // retraction and the final, which must keep trying *through* a cut
+      // or lossy link the failure detector mistakes for a death (a child
+      // left without its final promotes too late to retract its slot).
       const bool dead_fast =
           membership_->is_dead(p.dst) &&
-          (p.kind == MsgId::kConnect || p.kind == MsgId::kTreeValue ||
-           p.kind == MsgId::kFinal);
+          (p.kind == MsgId::kConnect || p.kind == MsgId::kTreeValue);
       if (p.attempts >= p.cap || dead_fast) {
         exhausted.push_back(p);
         continue;
@@ -975,13 +946,11 @@ class NodeRuntime {
   Rng backoff_rng_{};
   std::uint32_t min_exchanges_ = 0;
 
-  ChaosSpec chaos_{};
-  bool reconverge_ = false;  ///< post-final re-convergence machinery armed
   std::vector<DedupRing> dedup_;
   std::uint64_t duplicates_dropped_ = 0;
   std::uint64_t backoff_ms_total_ = 0;
   std::uint32_t hello_tries_ = 0;
-  bool resurrect_ = false;  ///< post_final_tick sampling alternator
+  bool resurrect_ = false;  ///< post-final gossip_tick sampling alternator
 
   Phase phase_ = Phase::kBootstrap;
   std::uint32_t seq_ = 0;

@@ -20,9 +20,11 @@
 //               a clean run every node's parent equals run_drr's;
 //   Phase II    convergecast as monotone push: every settled node
 //               (re)sends its current subtree stats {max,min,sum,count}
-//               up-tree whenever they change, parents merge per-child
-//               slots keyed by child id (idempotent under duplicates),
-//               so late joiners and retries never double-count;
+//               up-tree whenever they change, also after the final; a
+//               parent keeps one versioned slot per child, which a retry
+//               replaces, and a child that gives up on its parent becomes
+//               a root and retracts its slot (kTreeLeave): each subtree
+//               folds once;
 //   Phase III   root gossip as push-pull anti-entropy over per-root
 //               table entries: roots push their table at a uniformly
 //               random peer (non-roots relay the envelope up-tree, the
@@ -30,9 +32,11 @@
 //               answers with its own table, and a root finalizes after
 //               a minimum exchange budget plus a quiet streak;
 //   spread      the folded result travels root -> children (kFinal,
-//               acked + retried), then the node lingers briefly to
-//               serve stragglers and exits with a machine-readable
-//               report.
+//               versioned, acked + retried, also to a child the failure
+//               detector calls dead), then the node lingers to serve
+//               stragglers and exits with a machine-readable report.  A
+//               lingering root keeps gossiping, re-folds and re-spreads
+//               when its table changes; a late child gets the final.
 //
 // Fault schedule: the node computes sim::full_timeline(n, seed,
 // faults) -- a pure function of the root seed, so every process and the

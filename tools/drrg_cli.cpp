@@ -32,8 +32,6 @@ struct Options {
   std::string agg = "ave";
   std::uint32_t n = 4096;
   std::uint64_t seed = 42;
-  double loss = 0.0;
-  double crash = 0.0;
   double rank_threshold = 0.0;
   int trials = 1;
   unsigned threads = 1;
@@ -46,16 +44,13 @@ struct Options {
   std::string chaos_text;
   std::int64_t round_ms = 0;
   drrg::sim::TopologySpec topology{};
-  std::vector<drrg::sim::CrashEvent> churn;
-  std::vector<drrg::sim::JoinEvent> joins;
-  std::vector<drrg::sim::BlockCrashEvent> blocks;
-  std::vector<drrg::sim::PartitionEvent> partitions;
-  drrg::sim::LatencyModel latency{};
+  drrg::sim::FaultSchedule faults{};
+  // Schedule flags as typed: the churn column and the table header echo
+  // them raw.
   std::string churn_text;
   std::string join_text;
   std::string block_text;
   std::string partition_text;
-  std::string latency_text;
   bool csv = false;
   bool json = false;
 };
@@ -174,8 +169,8 @@ Options parse(int argc, char** argv) {
     else if (arg == "--agg") opt.agg = next("--agg");
     else if (arg == "--n") read_number(opt.n, arg, next("--n"));
     else if (arg == "--seed") read_number(opt.seed, arg, next("--seed"));
-    else if (arg == "--loss") read_number(opt.loss, arg, next("--loss"), 0.0, 1.0);
-    else if (arg == "--crash") read_number(opt.crash, arg, next("--crash"), 0.0, 1.0);
+    else if (arg == "--loss") read_number(opt.faults.loss_prob, arg, next("--loss"), 0.0, 1.0);
+    else if (arg == "--crash") read_number(opt.faults.crash_fraction, arg, next("--crash"), 0.0, 1.0);
     else if (arg == "--threshold") read_number(opt.rank_threshold, arg, next("--threshold"));
     else if (arg == "--trials") read_number(opt.trials, arg, next("--trials"));
     else if (arg == "--threads") read_number(opt.threads, arg, next("--threads"));
@@ -235,58 +230,16 @@ Options parse(int argc, char** argv) {
       }
       opt.topology.backend = *backend;
     }
-    else if (arg == "--churn") {
-      opt.churn_text = next("--churn");
-      const auto churn = drrg::api::parse_churn(opt.churn_text);
-      if (!churn.has_value()) {
-        std::fprintf(stderr, "malformed churn schedule: %s (want R:F[,R:F...])\n",
-                     opt.churn_text.c_str());
+    else if (drrg::api::is_schedule_flag(arg)) {
+      const char* text = next(arg.c_str());
+      if (!drrg::api::apply_schedule_flag(arg, text, opt.faults)) {
+        std::fprintf(stderr, "malformed %s value: %s\n", arg.c_str(), text);
         usage(2);
       }
-      opt.churn = *churn;
-    }
-    else if (arg == "--join") {
-      opt.join_text = next("--join");
-      const auto joins = drrg::api::parse_joins(opt.join_text);
-      if (!joins.has_value()) {
-        std::fprintf(stderr, "malformed join schedule: %s (want R:F[,R:F...])\n",
-                     opt.join_text.c_str());
-        usage(2);
-      }
-      opt.joins = *joins;
-    }
-    else if (arg == "--block-crash") {
-      opt.block_text = next("--block-crash");
-      const auto blocks = drrg::api::parse_blocks(opt.block_text);
-      if (!blocks.has_value()) {
-        std::fprintf(stderr,
-                     "malformed block-crash schedule: %s (want R:LO-HI[:S/W][,...])\n",
-                     opt.block_text.c_str());
-        usage(2);
-      }
-      opt.blocks = *blocks;
-    }
-    else if (arg == "--partition") {
-      opt.partition_text = next("--partition");
-      const auto partitions = drrg::api::parse_partitions(opt.partition_text);
-      if (!partitions.has_value()) {
-        std::fprintf(stderr, "malformed partition schedule: %s (want R:B[:H][,...])\n",
-                     opt.partition_text.c_str());
-        usage(2);
-      }
-      opt.partitions = *partitions;
-    }
-    else if (arg == "--latency") {
-      opt.latency_text = next("--latency");
-      const auto latency = drrg::api::parse_latency(opt.latency_text);
-      if (!latency.has_value()) {
-        std::fprintf(stderr,
-                     "malformed latency model: %s (want fixed:D, uniform:A-B or "
-                     "tail:A-B:P)\n",
-                     opt.latency_text.c_str());
-        usage(2);
-      }
-      opt.latency = *latency;
+      if (arg == "--churn") opt.churn_text = text;
+      else if (arg == "--join") opt.join_text = text;
+      else if (arg == "--block-crash") opt.block_text = text;
+      else if (arg == "--partition") opt.partition_text = text;
     }
     else if (arg == "--csv") opt.csv = true;
     else if (arg == "--json") opt.json = true;
@@ -352,11 +305,11 @@ void print_json(const Options& opt, const drrg::api::RunReport& r) {
               std::string{drrg::api::to_string(opt.transport)}.c_str(),
               std::string{drrg::sim::to_string(opt.topology.kind)}.c_str(),
               topology_extras_json(opt).c_str(),
-              opt.loss, opt.crash, opt.churn_text.c_str(),
-              drrg::api::format_joins(opt.joins).c_str(),
-              drrg::api::format_blocks(opt.blocks).c_str(),
-              drrg::api::format_partitions(opt.partitions).c_str(),
-              drrg::api::format_latency(opt.latency).c_str(), opt.chaos_text.c_str(),
+              opt.faults.loss_prob, opt.faults.crash_fraction, opt.churn_text.c_str(),
+              drrg::api::format_joins(opt.faults.joins).c_str(),
+              drrg::api::format_blocks(opt.faults.blocks).c_str(),
+              drrg::api::format_partitions(opt.faults.partitions).c_str(),
+              drrg::api::format_latency(opt.faults.latency).c_str(), opt.chaos_text.c_str(),
               r.value, r.truth, r.abs_error(), r.rel_error(),
               r.consensus ? "true" : "false",
               static_cast<unsigned long long>(r.cost.sent),
@@ -390,13 +343,7 @@ int main(int argc, char** argv) {
   spec.n = opt.n;
   spec.aggregate = *agg;
   spec.seed = opt.seed;
-  spec.faults.loss_prob = opt.loss;
-  spec.faults.crash_fraction = opt.crash;
-  spec.faults.churn = opt.churn;
-  spec.faults.joins = opt.joins;
-  spec.faults.blocks = opt.blocks;
-  spec.faults.partitions = opt.partitions;
-  spec.faults.latency = opt.latency;
+  spec.faults = opt.faults;
   spec.topology = opt.topology;
   spec.pipeline = opt.pipeline;
   spec.transport = opt.transport;
@@ -439,14 +386,15 @@ int main(int argc, char** argv) {
     if (!opt.join_text.empty()) extras += ", join " + opt.join_text;
     if (!opt.block_text.empty()) extras += ", block-crash " + opt.block_text;
     if (!opt.partition_text.empty()) extras += ", partition " + opt.partition_text;
-    if (!opt.latency.zero()) extras += ", latency " + api::format_latency(opt.latency);
+    if (!opt.faults.latency.zero())
+      extras += ", latency " + api::format_latency(opt.faults.latency);
     std::printf("%s%s%s / %s on n = %u, %s (loss %.3f, crash %.3f%s, %d trial%s, %u thread%s)\n",
                 opt.algo.c_str(),
                 opt.pipeline == api::Pipeline::kSparse ? " [sparse]" : "",
                 opt.transport == api::Transport::kUdp ? " [udp]" : "",
                 opt.agg.c_str(), opt.n,
-                std::string{sim::to_string(opt.topology.kind)}.c_str(), opt.loss,
-                opt.crash, extras.c_str(),
+                std::string{sim::to_string(opt.topology.kind)}.c_str(), opt.faults.loss_prob,
+                opt.faults.crash_fraction, extras.c_str(),
                 opt.trials, opt.trials == 1 ? "" : "s",
                 opt.threads, opt.threads == 1 ? "" : "s");
   }
@@ -466,7 +414,7 @@ int main(int argc, char** argv) {
                   r.algorithm.c_str(), opt.agg.c_str(), r.n,
                   static_cast<unsigned long long>(r.seed),
                   std::string{sim::to_string(opt.topology.kind)}.c_str(),
-                  opt.loss, opt.crash, opt.churn_text.c_str(),
+                  opt.faults.loss_prob, opt.faults.crash_fraction, opt.churn_text.c_str(),
                   r.value, r.truth, r.consensus ? 1 : 0,
                   static_cast<unsigned long long>(r.cost.sent), r.rounds);
     } else if (opt.json) {

@@ -85,13 +85,6 @@ int main(int argc, char** argv) {
   bool have_id = false;
   bool quiet = false;
   std::string agg = "max";
-  double loss = 0.0;
-  double crash = 0.0;
-  std::vector<sim::CrashEvent> churn;
-  std::vector<sim::JoinEvent> joins;
-  std::vector<sim::BlockCrashEvent> blocks;
-  std::vector<sim::PartitionEvent> partitions;
-  sim::LatencyModel latency{};
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -105,47 +98,14 @@ int main(int argc, char** argv) {
     if (arg == "--id") { read_number(opt.node, arg, next("--id")); have_id = true; }
     else if (arg == "--n") read_number(opt.n, arg, next("--n"));
     else if (arg == "--seed") read_number(opt.seed, arg, next("--seed"));
-    else if (arg == "--loss") read_number(loss, arg, next("--loss"), 0.0, 1.0);
-    else if (arg == "--crash") read_number(crash, arg, next("--crash"), 0.0, 1.0);
-    else if (arg == "--churn") {
-      const auto parsed = api::parse_churn(next("--churn"));
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "malformed churn schedule (want R:F[,R:F...])\n");
+    else if (arg == "--loss") read_number(opt.faults.loss_prob, arg, next("--loss"), 0.0, 1.0);
+    else if (arg == "--crash") read_number(opt.faults.crash_fraction, arg, next("--crash"), 0.0, 1.0);
+    else if (api::is_schedule_flag(arg)) {
+      const char* text = next(arg.c_str());
+      if (!api::apply_schedule_flag(arg, text, opt.faults)) {
+        std::fprintf(stderr, "malformed %s value: %s\n", arg.c_str(), text);
         usage(2);
       }
-      churn = *parsed;
-    }
-    else if (arg == "--join") {
-      const auto parsed = api::parse_joins(next("--join"));
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "malformed join schedule (want R:F[,R:F...])\n");
-        usage(2);
-      }
-      joins = *parsed;
-    }
-    else if (arg == "--block-crash") {
-      const auto parsed = api::parse_blocks(next("--block-crash"));
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "malformed block-crash schedule (want R:LO-HI[:S/W][,...])\n");
-        usage(2);
-      }
-      blocks = *parsed;
-    }
-    else if (arg == "--partition") {
-      const auto parsed = api::parse_partitions(next("--partition"));
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "malformed partition schedule (want R:B[:H][,...])\n");
-        usage(2);
-      }
-      partitions = *parsed;
-    }
-    else if (arg == "--latency") {
-      const auto parsed = api::parse_latency(next("--latency"));
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "malformed latency model (want fixed:D | uniform:A-B | tail:A-B:P)\n");
-        usage(2);
-      }
-      latency = *parsed;
     }
     else if (arg == "--chaos") {
       const auto parsed = api::parse_chaos(next("--chaos"));
@@ -187,11 +147,6 @@ int main(int argc, char** argv) {
                  agg.c_str());
     usage(2);
   }
-  opt.faults = sim::FaultSchedule{loss, crash, churn};
-  opt.faults.blocks = std::move(blocks);
-  opt.faults.partitions = std::move(partitions);
-  opt.faults.joins = std::move(joins);
-  opt.faults.latency = latency;
   if (opt.faults.needs_wall_clock() && opt.round_ms <= 0) {
     std::fprintf(stderr,
                  "--block-crash/--partition/--join/--latency need --round-ms > 0 "

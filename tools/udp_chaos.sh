@@ -7,7 +7,10 @@
 #   clean            no adversity (also checked on the count aggregate:
 #                    every one of the n founders must be folded exactly once)
 #   loss+corrupt     Bernoulli datagram drops + single-byte corruption
-#                    (the wire checksum must reject every corrupted frame)
+#                    (the wire checksum must reject every corrupted frame;
+#                    also checked on count: an orphan promoted away from a
+#                    parent that is alive but unreachable over the lossy
+#                    link must retract its subtree, not be folded twice)
 #   dup+reorder      duplicated datagrams + bounded-span reordering
 #                    (per-peer dedup + idempotent handlers)
 #   delay            heavy-tailed per-datagram latency (backoff, not loss)
@@ -112,6 +115,7 @@ want() {
 want clean          && run_family clean          max
 want clean          && run_family clean-count    count
 want loss-corrupt   && run_family loss-corrupt   max --chaos drop:0.15,corrupt:0.05
+want loss-corrupt   && run_family loss-corrupt-count count --chaos drop:0.15,corrupt:0.05
 want dup-reorder    && run_family dup-reorder    max --chaos dup:0.15,reorder:0.25/4
 want delay          && run_family delay          max --chaos delay:tail:5-120:0.1
 want block-kill     && run_family block-kill     max --block-crash 2:8-16 --round-ms 250
