@@ -65,7 +65,7 @@ ExtremaOutcome run_extrema(std::uint32_t n, std::span<const double> rates,
       detail::phase3_scale(n, scenario, DrrGossipConfig{}.phase3_diameter_multiplier);
   std::vector<MinVec> folded(n);
   for (NodeId v = 0; v < n; ++v) folded[v] = std::move(cc.node[v].acc);
-  const detail::GossipMaxRun<MinVec> gm = detail::run_gossip_max_of(
+  const GossipMaxRun<MinVec> gm = detail::run_gossip_max_of(
       forest, std::move(folded), absorb_min, vec_bits, rngs,
       scenario.at_round(scenario.start_round + out.rounds_total), config.gossip, 0xe90);
   out.counters += gm.counters;

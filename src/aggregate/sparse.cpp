@@ -7,8 +7,11 @@
 #include <vector>
 
 #include "aggregate/drr_gossip.hpp"
+#include "aggregate/routed_carrier.hpp"
 #include "aggregate/routing.hpp"
+#include "rootgossip/gossip_max_protocol.hpp"
 #include "rootgossip/ordered_key.hpp"
+#include "rootgossip/push_sum_protocol.hpp"
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
 #include "support/scratch.hpp"
@@ -35,416 +38,9 @@ Graph overlay_graph(const ChordOverlay& chord) {
 
 namespace {
 
-// Pooled payload-staging slots (support/scratch.hpp).  Distinct tags for
-// buffers whose lifetimes overlap within one pipeline run; contents are
-// fully rewritten by assign() before every use.
-enum ScratchTag : int {
-  kScratchKeys,
-  kScratchRootValue,
-  kScratchSpreadKeys,
-  kScratchSpreadAux,
-};
-
-// ---------------------------------------------------------------------------
-// Phase III carriers.  A logical G~ send travels as one engine envelope
-// that is re-sent hop by hop: first along the substrate route (SparseRouter
-// state machine), then up the landing node's ranking tree.  Each hop is
-// one engine message in one round, so the FaultSchedule applies to every
-// intermediate carrier and a delivery's latency equals its hop count --
-// the accounting the paper's "at most T hops of G per edge of G~" uses.
-
-/// The engine's alive set as a routing liveness oracle: Chord hops detour
-/// around crashed nodes (stabilized overlay, see routing.hpp).
-template <class Msg>
-[[nodiscard]] LivenessView liveness_of(const sim::Network<Msg>& net) noexcept {
-  return LivenessView{&net, [](const void* p, NodeId v) {
-                        return static_cast<const sim::Network<Msg>*>(p)->alive(v);
-                      }};
-}
-
-/// One hop's outcome, for callers that must distinguish "still traveling"
-/// from "died at the holder" (the push-sum carry-ack re-homes the latter).
-struct HopOutcome {
-  sim::NodeId absorbed = sim::kNoNode;  ///< root that absorbed, or kNoNode
-  bool stranded = false;  ///< route gave up / landed on a non-member: the
-                          ///< payload is at the holder with nowhere to go
-};
-
-/// Common hop step shared by both Phase III protocols.  Returns the root
-/// the message has arrived at (absorption point); absorbed == kNoNode
-/// means the message was forwarded one hop, or -- when `stranded` is set
-/// -- died at the current holder (a kStranded route around dead lattice
-/// regions, or a landing on a non-member such as a mid-run joiner).
-///
-/// `crash_free` selects the devirtualized fast hop (computed once per run
-/// from FaultSchedule::crash_free()): with every node alive for the whole
-/// run the stabilized detours are identities, so the keyed modes skip the
-/// LivenessView indirection entirely.  Keyed modes draw no per-hop
-/// randomness on either path, so the holder's RNG slot is only touched
-/// for walks -- lazily constructed streams are pure functions of
-/// (seed, node), making the elision observationally invisible.
-template <class Msg>
-[[nodiscard]] HopOutcome route_or_climb(sim::Network<Msg>& net, const Forest& forest,
-                                        const SparseRouter& router, bool crash_free,
-                                        sim::NodeId x, Msg&& m, std::uint32_t bits) {
-  if (!m.climbing) {
-    if (m.route.mode != RouteState::Mode::kDone) {
-      NodeId nh;
-      if (m.route.mode == RouteState::Mode::kWalk) {
-        nh = router.next_hop(x, m.route, net.node_rng(x));
-      } else if (crash_free) {
-        nh = router.next_hop_fast(x, m.route);
-      } else {
-        nh = router.next_hop_live(x, m.route, liveness_of(net));
-      }
-      if (nh != x) {
-        net.send(x, nh, std::move(m), bits);
-        return {};
-      }
-      if (m.route.mode == RouteState::Mode::kStranded)
-        return {sim::kNoNode, true};  // dead-end detour: payload stuck at x
-    }
-    m.climbing = true;  // the route has arrived at x
-  }
-  if (!forest.is_member(x)) return {sim::kNoNode, true};  // joiner / non-member
-  const NodeId parent = forest.parent(x);
-  if (parent != kNoParent) {
-    // Tree walk: one more hop of G per level, forwarded next round.  A
-    // crashed parent simply never delivers -- churn severs the path.
-    net.send(x, parent, std::move(m), bits);
-    return {};
-  }
-  return {x, false};  // x is a root: absorb
-}
-
-// ---------------------------------------------------------------------------
-// Routed Gossip-max over the forest roots (Algorithm 4 on the substrate).
-
-struct SgmMsg {
-  enum class Kind : std::uint8_t { kGossip, kInquiry, kReply };
-  std::uint64_t key = 0;
-  std::uint64_t aux = 0;  // payload riding the key (spread: the estimate)
-  RouteState route;
-  sim::NodeId origin = sim::kNoNode;  // inquiring root (kInquiry)
-  Kind kind = Kind::kGossip;
-  bool climbing = false;  // routing finished; walking up the tree
-};
-
-struct SparseGmResult {
-  std::vector<std::uint64_t> key;
-  std::vector<std::uint64_t> aux;
-  sim::Counters counters;
-  std::uint32_t rounds = 0;
-};
-
-struct SparseGossipMaxProtocol {
-  enum class Procedure : std::uint8_t { kIdle, kGossip, kSampling };
-
-  const Forest& forest;
-  const SparseRouter& router;
-  std::vector<std::uint64_t> key;
-  std::vector<std::uint64_t> aux;  // adopted alongside a larger key
-  std::uint32_t bits;
-  bool crash_free;
-  Procedure procedure = Procedure::kIdle;
-
-  SparseGossipMaxProtocol(const Forest& f, const SparseRouter& r, bool crash_free_run,
-                          std::span<const std::uint64_t> init,
-                          std::span<const std::uint64_t> init_aux, std::uint32_t n)
-      : forest(f),
-        router(r),
-        key(n, kKeyBottom),
-        aux(n, 0),
-        bits((init_aux.empty() ? 64 : 2 * 64) + 2 * address_bits(n)),
-        crash_free(crash_free_run) {
-    for (NodeId root : f.roots()) {
-      key[root] = init[root];
-      if (!init_aux.empty()) aux[root] = init_aux[root];
-    }
-  }
-
-  /// Only roots act; the engine thins its upcall scans to the root list.
-  [[nodiscard]] std::span<const sim::NodeId> active_nodes() const noexcept {
-    return forest.roots();
-  }
-
-  void on_round(sim::Network<SgmMsg>& net, sim::NodeId v) {
-    if (procedure == Procedure::kIdle) return;
-    SgmMsg m;
-    m.route = router.begin_random(v, net.node_rng(v));
-    if (procedure == Procedure::kGossip) {
-      m.key = key[v];
-      m.aux = aux[v];
-    } else {
-      m.kind = SgmMsg::Kind::kInquiry;
-      m.origin = v;
-    }
-    hop(net, v, std::move(m));
-  }
-
-  void on_message(sim::Network<SgmMsg>& net, sim::NodeId, sim::NodeId dst, const SgmMsg& m) {
-    hop(net, dst, SgmMsg{m});
-  }
-
-  void hop(sim::Network<SgmMsg>& net, sim::NodeId x, SgmMsg&& m) {
-    // Stranded gossip dies at the holder: max-merge keys are idempotent
-    // retransmitted state, so a lost copy costs redundancy, not mass.
-    const sim::NodeId at =
-        route_or_climb(net, forest, router, crash_free, x, std::move(m), bits).absorbed;
-    if (at == sim::kNoNode) return;
-    switch (m.kind) {
-      case SgmMsg::Kind::kGossip:
-      case SgmMsg::Kind::kReply:
-        if (m.key > key[at]) {
-          key[at] = m.key;
-          aux[at] = m.aux;
-        }
-        break;
-      case SgmMsg::Kind::kInquiry: {
-        // Reply to the inquiring root: routed where the substrate has a
-        // keyed scheme, one direct send otherwise (the established-call
-        // convention -- the non-address-oblivious step of Algorithm 4).
-        SgmMsg reply;
-        reply.key = key[at];
-        reply.aux = aux[at];
-        reply.kind = SgmMsg::Kind::kReply;
-        reply.route = router.begin_directed(m.origin);
-        if (reply.route.mode == RouteState::Mode::kDone && at != m.origin) {
-          net.send(at, m.origin, std::move(reply), bits);
-        } else {
-          hop(net, at, std::move(reply));
-        }
-        break;
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Routed push-sum over the forest roots (Algorithm 6 on the substrate).
-
-struct SpsMsg {
-  enum class Kind : std::uint8_t {
-    kShare,  ///< a traveling (num, den) half
-    kAck,    ///< carry-ack: custody of `seq` accepted (armed runs only)
-  };
-  double num = 0.0;
-  double den = 0.0;
-  RouteState route;
-  std::uint32_t seq = 0;  ///< sender-local custody id (armed runs only)
-  Kind kind = Kind::kShare;
-  bool climbing = false;
-};
-
-struct SparsePsResult {
-  std::vector<double> num;
-  std::vector<double> den;
-  sim::Counters counters;
-  std::uint32_t rounds = 0;
-};
-
-/// Routed push-sum, optionally *armed* with the hop-level carry-ack
-/// (PushSumConfig::hop_carry_ack).  Unarmed, a share whose next carrier
-/// crashed -- or whose hop the loss coin ate -- vanishes, and push-sum's
-/// conservation law (sum num, sum den invariant) erodes by O(loss) per
-/// hop.  Armed, every hop is a custody transfer: the sender parks the
-/// share's mass in a pending slot until the receiver acks custody on the
-/// established call (reliable, same round as the delivery).  A pending
-/// that outlives its ack window -- the hop was lost or the carrier died
-/// mid-flight -- is retransmitted from the stored pre-hop route state: the
-/// holder recomputes the same hop against *current* liveness (ARQ with
-/// route progress kept; a freshly dead next carrier turns into a detour,
-/// not a restart).  Only a share stranded at the holder itself re-homes on
-/// a fresh random route -- its old route is a proven dead end.  Restarting
-/// every lost hop from scratch would make long routes statistically
-/// un-completable (success (1-loss)^hops per attempt); resuming keeps the
-/// expected cost at hops * (1 + loss/(1-loss) * reclaim_after) rounds.
-/// Mass held by a node that itself crashes dies with it (that is
-/// physical); everything else is conserved.
-///
-/// No double-count: an ack rides the reply step of the delivery round,
-/// which is at most sent_round + 1 + latency_bound; reclaim fires at
-/// on_round_end of sent_round + 2 + latency_bound, strictly after any
-/// possible ack has been drained.  Armed runs scan every node (any
-/// carrier may hold pendings); unarmed runs keep the historical
-/// roots-only upcall set and never touch the ack fields -- the unarmed
-/// path is byte-identical to the pre-carry-ack protocol.
-struct SparsePushSumProtocol {
-  struct Pending {
-    std::uint32_t seq = 0;
-    std::uint32_t sent_round = 0;
-    double num = 0.0;
-    double den = 0.0;
-    RouteState route;          ///< pre-hop route state (retransmit resumes here)
-    bool climbing = false;     ///< pre-hop tree-walk flag
-    bool stranded = false;     ///< no viable hop existed: re-home, don't resume
-  };
-  static constexpr std::uint32_t kAckBits = 32;  // custody id on the open call
-
-  const Forest& forest;
-  const SparseRouter& router;
-  std::vector<double> num;
-  std::vector<double> den;
-  std::uint32_t bits;
-  bool crash_free;
-  bool armed;
-  std::uint32_t reclaim_after;  ///< rounds before an unacked pending re-homes
-  bool initiate = false;
-  std::vector<std::vector<Pending>> pending;  // armed: per-node custody slots
-  std::vector<std::uint32_t> next_seq;
-  std::vector<sim::NodeId> all_ids;  // armed upcall set (every node)
-  std::uint64_t pending_total = 0;
-
-  SparsePushSumProtocol(const Forest& f, const SparseRouter& r, bool crash_free_run,
-                        std::span<const double> num0, std::span<const double> den0,
-                        std::uint32_t n, bool carry_ack, std::uint32_t latency_bound)
-      : forest(f),
-        router(r),
-        num(n, 0.0),
-        den(n, 0.0),
-        bits(2 * 64 + address_bits(n)),
-        crash_free(crash_free_run),
-        armed(carry_ack),
-        reclaim_after(2 + latency_bound) {
-    for (NodeId root : f.roots()) {
-      num[root] = num0[root];
-      den[root] = den0[root];
-    }
-    if (armed) {
-      pending.resize(n);
-      next_seq.assign(n, 0);
-      all_ids.resize(n);
-      for (std::uint32_t v = 0; v < n; ++v) all_ids[v] = v;
-    }
-  }
-
-  [[nodiscard]] std::span<const sim::NodeId> active_nodes() const noexcept {
-    return armed ? std::span<const sim::NodeId>{all_ids} : forest.roots();
-  }
-
-  [[nodiscard]] bool is_root(sim::NodeId v) const noexcept {
-    return forest.is_member(v) && forest.parent(v) == kNoParent;
-  }
-
-  void on_round(sim::Network<SpsMsg>& net, sim::NodeId v) {
-    if (!initiate) return;
-    if (armed && !is_root(v)) return;  // armed runs scan every node
-    num[v] *= 0.5;
-    den[v] *= 0.5;
-    SpsMsg m;
-    m.num = num[v];
-    m.den = den[v];
-    m.route = router.begin_random(v, net.node_rng(v));
-    hop(net, v, std::move(m));
-  }
-
-  void on_message(sim::Network<SpsMsg>& net, sim::NodeId src, sim::NodeId dst,
-                  const SpsMsg& m) {
-    if (armed) {
-      if (m.kind == SpsMsg::Kind::kAck) {
-        drop_pending(dst, m.seq);  // custody transferred downstream
-        return;
-      }
-      SpsMsg ack;
-      ack.kind = SpsMsg::Kind::kAck;
-      ack.seq = m.seq;
-      net.reply(dst, src, std::move(ack), kAckBits);
-    }
-    hop(net, dst, SpsMsg{m});
-  }
-
-  void hop(sim::Network<SpsMsg>& net, sim::NodeId x, SpsMsg&& m) {
-    if (!armed) {
-      const sim::NodeId at =
-          route_or_climb(net, forest, router, crash_free, x, std::move(m), bits)
-              .absorbed;
-      if (at == sim::kNoNode) return;
-      num[at] += m.num;
-      den[at] += m.den;
-      return;
-    }
-    const double half_num = m.num, half_den = m.den;
-    m.seq = next_seq[x]++;
-    const std::uint32_t seq = m.seq;
-    const RouteState pre_route = m.route;  // resume point for a lost hop
-    const bool pre_climbing = m.climbing;
-    const HopOutcome hr =
-        route_or_climb(net, forest, router, crash_free, x, std::move(m), bits);
-    if (hr.absorbed != sim::kNoNode) {
-      num[hr.absorbed] += half_num;
-      den[hr.absorbed] += half_den;
-      return;
-    }
-    // Forwarded: custody parked until the next carrier acks; the reclaim
-    // sweep retransmits from pre_route.  Stranded: the same slot with no
-    // ack ever coming -- parked rather than re-launched inline, which also
-    // breaks the boxed-in livelock of re-launching into the same dead
-    // region within one round.
-    pending[x].push_back(
-        Pending{seq, net.round(), half_num, half_den, pre_route, pre_climbing,
-                hr.stranded});
-    ++pending_total;
-  }
-
-  void on_round_end(sim::Network<SpsMsg>& net, sim::NodeId v) {
-    if (!armed || pending[v].empty()) return;
-    std::vector<Pending>& pv = pending[v];
-    for (std::size_t i = 0; i < pv.size();) {
-      if (net.round() < pv[i].sent_round + reclaim_after) {
-        ++i;
-        continue;
-      }
-      const Pending p = pv[i];  // take it out, then resend (hop() appends)
-      pv[i] = pv.back();
-      pv.pop_back();
-      --pending_total;
-      SpsMsg m;
-      m.num = p.num;
-      m.den = p.den;
-      if (p.stranded) {
-        // The stored route dead-ended at v itself: only a fresh route (new
-        // target, full TTL) can make progress.
-        m.route = router.begin_random(v, net.node_rng(v));
-      } else {
-        // Lost hop (or carrier death): resume from the pre-hop state, so
-        // route progress survives and the retransmit adapts to liveness.
-        m.route = p.route;
-        m.climbing = p.climbing;
-      }
-      hop(net, v, std::move(m));
-    }
-  }
-
-  /// Folds every outstanding custody slot back into its holder's own
-  /// pair.  Called once after the drain: by then any slot still pending
-  /// was never delivered (acks are same-round), so the fold restores the
-  /// conservation law exactly -- mass a crashed node held stays lost,
-  /// which is the physical outcome.
-  void fold_back_pending() {
-    if (!armed) return;
-    for (sim::NodeId v : all_ids) {
-      for (const Pending& p : pending[v]) {
-        num[v] += p.num;
-        den[v] += p.den;
-      }
-      pending[v].clear();
-    }
-    pending_total = 0;
-  }
-
- private:
-  void drop_pending(sim::NodeId v, std::uint32_t seq) {
-    std::vector<Pending>& pv = pending[v];
-    for (std::size_t i = 0; i < pv.size(); ++i) {
-      if (pv[i].seq == seq) {
-        pv[i] = pv.back();
-        pv.pop_back();
-        --pending_total;
-        return;
-      }
-    }
-  }
-};
+// Pooled root-value staging (support/scratch.hpp), fully rewritten by
+// assign() before every use.
+enum ScratchTag : int { kScratchRootValue = 1 };
 
 /// Runs `steps` initiation rounds with the protocol live, then drains
 /// until the network is quiescent (every in-flight envelope has landed or
@@ -462,60 +58,70 @@ void run_then_drain(sim::Network<Msg>& net, P& proto, std::uint32_t steps,
   return router.max_route_hops() + forest.max_tree_height() + slack + 2;
 }
 
-SparseGmResult run_sparse_gossip_max(std::uint32_t n, const SparseRouter& router,
-                                     const Forest& forest,
-                                     std::span<const std::uint64_t> init,
-                                     const RngFactory& rngs, const sim::Scenario& scenario,
-                                     const GossipMaxConfig& cfg,
-                                     std::span<const std::uint64_t> init_aux = {}) {
-  sim::Network<SgmMsg> net{n, rngs, scenario, derive_seed(0x59a2, cfg.stream_tag)};
-  SparseGossipMaxProtocol proto{forest, router, scenario.faults.crash_free(), init,
-                                init_aux, n};
+/// The fused elect-and-spread key: a (size, id) key with the estimate
+/// riding it through every merge.
+struct KeyAux {
+  std::uint64_t key = kKeyBottom;
+  std::uint64_t aux = 0;
+};
+
+/// Routed Gossip-max: the gossip procedure, a drain, the sampling
+/// procedure, a drain; each drain stops at quiescence.
+template <class Key, class Merge>
+GossipMaxRun<Key> run_sparse_gossip_max(const SparseRouter& router, const Forest& forest,
+                                        std::vector<Key> init, Merge merge,
+                                        std::uint32_t key_bits, const RngFactory& rngs,
+                                        const sim::Scenario& scenario,
+                                        const GossipMaxConfig& cfg) {
+  using Proto = detail::GossipMaxProtocol<Key, Merge, detail::RoutedCarrier>;
+  using Procedure = typename Proto::Procedure;
+  const std::uint32_t n = forest.size();
+  sim::Network<typename Proto::Msg> net{n, rngs, scenario,
+                                        derive_seed(0x59a2, cfg.stream_tag)};
+  Proto proto{detail::RoutedCarrier{forest, router, scenario.faults.crash_free()},
+              std::move(init), std::move(merge), key_bits};
   // Event-time latency stretches each routed G~ generation by the expected
   // call delay; scale the budgets (and the drain horizon, by the worst
   // case) to keep the completed-generation count.  Factor 1 at latency 0.
   const double lat = 1.0 + scenario.faults.latency.mean();
-  const auto G = static_cast<std::uint32_t>(
-      cfg.gossip_multiplier * static_cast<double>(ceil_log2(n)) * lat);
-  const auto S = static_cast<std::uint32_t>(
-      cfg.sampling_multiplier * static_cast<double>(ceil_log2(n)) * lat);
+  const std::uint32_t G = log_rounds(cfg.gossip_multiplier, n, cfg.round_budget_scale, lat);
+  const std::uint32_t S = log_rounds(cfg.sampling_multiplier, n, cfg.round_budget_scale, lat);
   const std::uint32_t cap = (1 + scenario.faults.latency.bound()) *
                             drain_cap(router, forest, cfg.drain_rounds);
 
   // Procedures are gated off before each drain: with roots still
   // initiating, the quiescence exit would be unreachable and the drain
   // rounds would silently double the configured O(log n) G~ budget.
-  proto.procedure = SparseGossipMaxProtocol::Procedure::kGossip;
+  proto.procedure = Procedure::kGossip;
   run_then_drain(net, proto, G, 0);
-  proto.procedure = SparseGossipMaxProtocol::Procedure::kIdle;
+  proto.procedure = Procedure::kIdle;
   run_then_drain(net, proto, 0, cap);
-  proto.procedure = SparseGossipMaxProtocol::Procedure::kSampling;
+  proto.procedure = Procedure::kSampling;
   run_then_drain(net, proto, S, 0);
-  proto.procedure = SparseGossipMaxProtocol::Procedure::kIdle;
+  proto.procedure = Procedure::kIdle;
   // Replies may chain one more routed leg; drain with double headroom.
   run_then_drain(net, proto, 0, 2 * cap);
 
-  SparseGmResult result;
-  result.key = std::move(proto.key);
-  result.aux = std::move(proto.aux);
-  result.counters = net.counters();
-  result.rounds = net.counters().rounds;
-  return result;
+  GossipMaxRun<Key> out;
+  out.key = std::move(proto.key);
+  out.counters = net.counters();
+  out.rounds = net.counters().rounds;
+  return out;
 }
 
-SparsePsResult run_sparse_push_sum(std::uint32_t n, const SparseRouter& router,
-                                   const Forest& forest, std::span<const double> num0,
-                                   std::span<const double> den0, const RngFactory& rngs,
-                                   const sim::Scenario& scenario, const PushSumConfig& cfg) {
-  sim::Network<SpsMsg> net{n, rngs, scenario, derive_seed(0x59b2, cfg.stream_tag)};
-  SparsePushSumProtocol proto{forest,
-                              router,
-                              scenario.faults.crash_free(),
-                              num0,
-                              den0,
-                              n,
-                              cfg.hop_carry_ack,
-                              scenario.faults.latency.bound()};
+PushSumResult run_sparse_push_sum(const SparseRouter& router, const Forest& forest,
+                                  std::span<const double> num0, std::span<const double> den0,
+                                  const RngFactory& rngs, const sim::Scenario& scenario,
+                                  const PushSumConfig& cfg) {
+  using Proto = detail::PushSumProtocol<false, detail::RoutedCarrier>;
+  const std::uint32_t n = forest.size();
+  const bool armed = cfg.hop_carry_ack;
+  sim::Network<typename Proto::Msg> net{n, rngs, scenario,
+                                        derive_seed(0x59b2, cfg.stream_tag)};
+  Proto proto{detail::RoutedCarrier{forest, router, scenario.faults.crash_free(), armed,
+                                    scenario.faults.latency.bound()},
+              num0, den0, detail::Custody<typename Proto::Msg>{armed ? n : 0}};
+  const detail::RoutedCarrier& carrier = proto.carrier;
   // Latency compensation: a share initiated now only re-mixes after its
   // ~typical_route_hops() round trip, so the O(log n) initiation window is
   // scaled by (1 + typical/log2 n) to preserve the number of completed
@@ -527,41 +133,40 @@ SparsePsResult run_sparse_push_sum(std::uint32_t n, const SparseRouter& router,
   // generations.  Exactly 1 unarmed or lossless, so pins are untouched.
   const double loss = scenario.faults.loss_prob;
   const double arq_scale =
-      (proto.armed && loss > 0.0 && loss < 1.0)
-          ? 1.0 + loss / (1.0 - loss) * static_cast<double>(proto.reclaim_after)
+      (armed && loss > 0.0 && loss < 1.0)
+          ? 1.0 + loss / (1.0 - loss) * static_cast<double>(carrier.reclaim_after())
           : 1.0;
   const double latency_scale =
       (1.0 + static_cast<double>(router.typical_route_hops()) /
                  static_cast<double>(ceil_log2(n))) *
       (1.0 + scenario.faults.latency.mean());
-  const std::uint32_t T = static_cast<std::uint32_t>(
-                              cfg.rounds_multiplier * static_cast<double>(ceil_log2(n)) *
-                              latency_scale * arq_scale) +
+  const std::uint32_t T = log_rounds(cfg.rounds_multiplier, n, cfg.round_budget_scale,
+                                     latency_scale, arq_scale) +
                           cfg.extra_rounds;
 
-  proto.initiate = true;
+  proto.initiating = true;
   for (std::uint32_t r = 0; r < T; ++r) net.step(proto);
-  proto.initiate = false;
+  proto.initiating = false;
   const std::uint32_t cap =
       (1 + scenario.faults.latency.bound()) * drain_cap(router, forest, T);
-  if (!proto.armed) {
+  if (!armed) {
     run_then_drain(net, proto, 0, cap);
   } else {
     // Armed drain: quiescence alone is not enough -- parked custody
     // re-homes after its ack window, re-launching traffic.  Allow a few
     // reclaim generations, then fold whatever is still boxed in back into
     // its holder (conservation over reachability).
-    const std::uint32_t armed_cap = 4 * (cap + proto.reclaim_after);
+    const std::uint32_t armed_cap = 4 * (cap + carrier.reclaim_after());
     for (std::uint32_t r = 0;
-         r < armed_cap && !(net.quiescent() && proto.pending_total == 0); ++r) {
+         r < armed_cap && !(net.quiescent() && proto.custody.total == 0); ++r) {
       net.step(proto);
     }
-    proto.fold_back_pending();
+    carrier.fold_back(proto.custody,
+                      [&](NodeId v, const Proto::Msg& m) { proto.absorb(v, m); });
   }
 
-  SparsePsResult result;
-  result.num = std::move(proto.num);
-  result.den = std::move(proto.den);
+  PushSumResult result;
+  proto.finish(result);
   result.counters = net.counters();
   result.rounds = net.counters().rounds;
   return result;
@@ -661,14 +266,14 @@ AggregateOutcome sparse_max_pipeline(std::uint32_t n, const Graph& links,
   const Forest& forest = p.drr.forest;
   if (forest.roots().empty()) return std::move(p.out);
 
-  std::vector<std::uint64_t>& keys =
-      support::scratch_buffer<std::uint64_t, kScratchKeys>();
-  keys.assign(n, kKeyBottom);
+  std::vector<std::uint64_t> keys(n, kKeyBottom);
   for (NodeId r : forest.roots()) keys[r] = encode_ordered(p.cc.aggregate[r]);
   GossipMaxConfig gm_cfg = config.gossip_max;
   gm_cfg.stream_tag = derive_seed(gm_cfg.stream_tag, 3);
-  const SparseGmResult gm =
-      run_sparse_gossip_max(n, router, forest, keys, rngs, p.resume(scenario), gm_cfg);
+  auto max_of = [](std::uint64_t& into, std::uint64_t from) { into = std::max(into, from); };
+  const GossipMaxResult gm =
+      run_sparse_gossip_max(router, forest, std::move(keys), max_of, 64 + 2 * address_bits(n),
+                            rngs, p.resume(scenario), gm_cfg);
   p.out.metrics.gossip = gm.counters;
   p.out.rounds_total += gm.rounds;
 
@@ -695,8 +300,8 @@ AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
   // are ignored.
   PushSumConfig ps_cfg = config.push_sum;
   ps_cfg.stream_tag = derive_seed(ps_cfg.stream_tag, 5);
-  const SparsePsResult ps = run_sparse_push_sum(n, router, forest, p.cc.aggregate,
-                                                p.cc.weight, rngs, p.resume(scenario), ps_cfg);
+  const PushSumResult ps = run_sparse_push_sum(router, forest, p.cc.aggregate, p.cc.weight,
+                                               rngs, p.resume(scenario), ps_cfg);
   p.out.metrics.gossip = ps.counters;
   p.out.rounds_total += ps.rounds;
 
@@ -709,30 +314,31 @@ AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
   // estimate of the largest root that actually managed to spread -- z
   // itself whenever z survives, byte for byte the paper's outcome -- one
   // whole gossip phase cheaper, and immune to z's death.
-  std::vector<std::uint64_t>& spread_keys =
-      support::scratch_buffer<std::uint64_t, kScratchSpreadKeys>();
-  std::vector<std::uint64_t>& spread_aux =
-      support::scratch_buffer<std::uint64_t, kScratchSpreadAux>();
-  spread_keys.assign(n, kKeyBottom);
-  spread_aux.assign(n, 0);
+  std::vector<KeyAux> spread_init(n);
   for (NodeId r : forest.roots()) {
     if (ps.den[r] > 0.0) {
-      spread_keys[r] = encode_size_id(static_cast<std::uint32_t>(p.cc.weight[r]), r);
-      spread_aux[r] = encode_ordered(ps.num[r] / ps.den[r]);
+      spread_init[r] = {encode_size_id(static_cast<std::uint32_t>(p.cc.weight[r]), r),
+                        encode_ordered(ps.estimate[r])};
     }
   }
   GossipMaxConfig spread_cfg = config.gossip_max;
   spread_cfg.stream_tag = derive_seed(spread_cfg.stream_tag, 6);
-  const SparseGmResult spread = run_sparse_gossip_max(
-      n, router, forest, spread_keys, rngs, p.resume(scenario), spread_cfg, spread_aux);
+  auto by_key = [](KeyAux& into, const KeyAux& from) {
+    if (from.key > into.key) into = from;
+  };
+  const GossipMaxRun<KeyAux> spread =
+      run_sparse_gossip_max(router, forest, std::move(spread_init), by_key,
+                            2 * 64 + 2 * address_bits(n), rngs, p.resume(scenario), spread_cfg);
   p.out.metrics.spread = spread.counters;
   p.out.rounds_total += spread.rounds;
 
   std::vector<double>& root_value =
       support::scratch_buffer<double, kScratchRootValue>();
   root_value.assign(n, 0.0);
-  for (NodeId r : forest.roots())
-    root_value[r] = spread.key[r] == kKeyBottom ? 0.0 : decode_ordered(spread.aux[r]);
+  for (NodeId r : forest.roots()) {
+    const KeyAux& k = spread.key[r];
+    root_value[r] = k.key == kKeyBottom ? 0.0 : decode_ordered(k.aux);
+  }
   return sparse_finish(p, root_value, rngs, scenario, config);
 }
 

@@ -15,12 +15,15 @@
 //
 // (*plus the constant-round loss-resilient rank re-exchange.)
 //
-// Phase III runs on sim::Network: every logical G~ send is expanded into
-// real hop-by-hop envelopes (substrate routing via SparseRouter, then the
-// tree walk up to the landing node's root), so mid-run churn kills
-// intermediate carriers, per-hop loss comes from the engine's loss coin,
-// and one global round clock spans all phases -- the full sim::Scenario
-// fault schedule applies exactly as it does to every other family.
+// Phase III runs the dense pipeline's Gossip-max and push-sum protocols
+// on sim::Network with the RoutedCarrier (aggregate/routed_carrier.hpp):
+// every logical G~ send is expanded into real hop-by-hop envelopes
+// (substrate routing via SparseRouter, then the tree walk up to the
+// landing node's root), so mid-run churn kills intermediate carriers,
+// per-hop loss comes from the engine's loss coin, and one global round
+// clock spans all phases -- the full sim::Scenario fault schedule applies
+// exactly as it does to every other family.  Elect-and-spread is fused
+// into one Gossip-max on (size key, estimate) pairs that merge by key.
 //
 // Two substrate shapes are supported:
 //   * the Chord overlay of §4 (sparse_drr_gossip_* overloads taking a

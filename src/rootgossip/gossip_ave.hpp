@@ -8,13 +8,16 @@
 // s/g converge to sum(v_i)/n = Ave; Theorem 7 guarantees relative error
 // <= 2/(n^alpha - 1) at the largest-tree root z after O(log n) rounds.
 //
-// Lost-mass recovery: the first receiver of every pushed half answers
-// with a 1-bit ack on the established call, and a half whose initiating
-// call was lost (crashed target, loss coin) is re-absorbed by its sender.
-// This keeps push-sum's conservation law -- without it, mass leaking to
-// crashed nodes skews Ave/Sum/Count badly under crashes even at loss 0.
-// Forward-hop losses (probability loss_prob per hop) stay unrecovered:
-// the residual drift is O(loss_prob), zero at loss 0.
+// Lost-mass recovery is the carrier's custody (rootgossip/carrier.hpp).
+// Here, on the dense TreeCarrier, the first receiver of every pushed half
+// answers with a 1-bit ack on the established call, and a half whose
+// initiating call was lost (crashed target, loss coin) is re-absorbed by
+// its sender.  This keeps push-sum's conservation law -- without it, mass
+// leaking to crashed nodes skews Ave/Sum/Count badly under crashes even
+// at loss 0.  Forward-hop losses (probability loss_prob per hop) stay
+// unrecovered: the residual drift is O(loss_prob), zero at loss 0.  The
+// routed pipelines' RoutedCarrier can recover those too
+// (PushSumConfig::hop_carry_ack).
 //
 // The implementation is generic in the pair (num, den), which also yields
 // Sum and Count: start den as the indicator of a single designated root
@@ -51,15 +54,17 @@ struct PushSumConfig {
   /// Realistic mode: route via the selected node (2 hops per G~ edge).
   /// Analysis mode (false): deliver directly to the selected node's root.
   bool forward_via_trees = true;
-  /// Routed pipelines only (sparse/chord substrates): arm the hop-level
-  /// carry-ack.  Every forwarded share hop becomes a custody transfer --
-  /// the sender parks the mass until the next carrier acks on the
-  /// established call, and re-homes it on a fresh route when the ack
-  /// window lapses (lost hop, carrier crashed mid-flight, or a route
-  /// stranded by dead lattice regions).  Closes the per-hop O(loss) mass
-  /// leak the first-hop ack cannot see (that ack covers only the
-  /// initiating call).  Off by default: armed runs trade ~1 ack per hop
-  /// and a wider upcall scan for conservation under loss.
+  /// Routed pipelines only (sparse/chord substrates): arm the
+  /// RoutedCarrier's hop-level carry-ack in place of no custody at all.
+  /// Every share hop becomes a custody transfer -- the holder parks the
+  /// mass until the next carrier acks on the established call, resends
+  /// the hop from its pre-hop route state when the ack window lapses
+  /// (lost hop, carrier crashed mid-flight), and re-homes it on a fresh
+  /// route when the route stranded at the holder (dead lattice regions).
+  /// Closes the per-hop O(loss) mass leak that the dense TreeCarrier's
+  /// first-hop ack cannot see (that ack covers only the initiating call).
+  /// Off by default: armed runs trade ~1 ack per hop and a wider upcall
+  /// scan for conservation under loss.
   bool hop_carry_ack = false;
   /// Track contribution vectors (O(m^2) memory; analysis mode only).
   bool track_potential = false;

@@ -30,16 +30,9 @@ GossipMaxResult run_gossip_max(const Forest& forest,
   std::vector<std::uint64_t> key(n, kKeyBottom);
   for (NodeId r : forest.roots()) key[r] = init_key[r];
   auto max_of = [](std::uint64_t& into, std::uint64_t from) { into = std::max(into, from); };
-  detail::GossipMaxRun<std::uint64_t> run = detail::run_gossip_max_of(
-      forest, std::move(key), max_of, 64 + 2 * address_bits(n), rngs, scenario, config,
-      derive_seed(0x3099, config.stream_tag));
-
-  GossipMaxResult result;
-  result.key = std::move(run.key);
-  result.key_after_gossip = std::move(run.key_after_gossip);
-  result.counters = run.counters;
-  result.rounds = run.rounds;
-  return result;
+  return detail::run_gossip_max_of(forest, std::move(key), max_of, 64 + 2 * address_bits(n),
+                                   rngs, scenario, config,
+                                   derive_seed(0x3099, config.stream_tag));
 }
 
 GossipMaxResult gossip_max_of_values(const Forest& forest, std::span<const double> value,

@@ -49,15 +49,21 @@ struct GossipMaxConfig {
   std::uint64_t stream_tag = 0;
 };
 
-struct GossipMaxResult {
+/// One Gossip-max run, generic in the diffused key (extrema propagation
+/// diffuses min-vectors, the routed elect-and-spread (key, estimate)
+/// pairs).
+template <class Key>
+struct GossipMaxRun {
   /// Final key at each node (meaningful at roots).
-  std::vector<std::uint64_t> key;
+  std::vector<Key> key;
   /// Snapshot of root keys when the gossip procedure ended (Theorem 5
-  /// inspects this: the sampling procedure has not run yet).
-  std::vector<std::uint64_t> key_after_gossip;
+  /// inspects this: the sampling procedure has not run yet).  Taken by
+  /// the dense fixed-round schedule; empty after a routed run.
+  std::vector<Key> key_after_gossip;
   sim::Counters counters;
   std::uint32_t rounds = 0;
 };
+using GossipMaxResult = GossipMaxRun<std::uint64_t>;
 
 /// Runs Gossip-max over the roots of `forest`.  `init_key[v]` is read for
 /// every root v (non-root entries ignored).

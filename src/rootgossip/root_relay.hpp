@@ -19,9 +19,9 @@
 //   * the forward-to-root step.
 //
 // Every send, delivery and RNG draw happens in exactly the order the
-// sim::Network path produces, so counters and results are bit-identical
-// (the golden determinism tests pin this) at roughly twice the engine's
-// throughput.  With no faults possible every call is delivered, so the
+// sim::Network path (the protocols on their TreeCarrier) produces, so
+// counters and results are bit-identical (the golden determinism tests
+// pin this) at roughly twice the engine's throughput.  With no faults possible every call is delivered, so the
 // driver keeps no crash/loss checks and no reply machinery.  Private to
 // the library: include it from .cpp files only.
 

@@ -50,6 +50,17 @@ namespace drrg {
   return lg > 1 ? lg - 1 : 1;
 }
 
+/// Round budget of an O(log n) procedure: multiplier * ceil(log2 n),
+/// times each stretch factor in turn, times `scale` last -- so the
+/// default round_budget_scale of 1.0 leaves the budget bit-exact.
+template <class... Stretch>
+[[nodiscard]] constexpr std::uint32_t log_rounds(double multiplier, std::uint64_t n,
+                                                 double scale, Stretch... stretch) noexcept {
+  double rounds = multiplier * static_cast<double>(ceil_log2(n));
+  ((rounds *= stretch), ...);
+  return static_cast<std::uint32_t>(rounds * scale);
+}
+
 /// Number of bits needed to address n nodes (message-size accounting:
 /// the model caps messages at O(log n + log s) bits).
 [[nodiscard]] constexpr std::uint32_t address_bits(std::uint64_t n) noexcept {

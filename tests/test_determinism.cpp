@@ -5,7 +5,7 @@
 // Network-only hot path, per-round queue allocation, eager per-node RNGs)
 // and must keep matching forever: the pooled-queue engine, the flat
 // fault-free executors, the CSR topology view and the intra-run fan-outs
-// are required to be *observationally invisible*.  Two families:
+// are required to be *observationally invisible*.  Four families:
 //
 //   * kPreRewriteGoldens -- bit-identical to the pre-rewrite binary (all
 //     complete-topology runs, plus every faulty run, which exercises the
@@ -13,12 +13,14 @@
 //   * kExplicitTopologyGoldens -- pinned at the introduction of the
 //     Phase III member relay + diameter-scaled budget (that feature
 //     deliberately changed explicit-substrate traffic); they guard the
-//     behavior from here on.
-//
-// A third family (sparse_engine_goldens) was pinned when chord-drr moved
-// off its bespoke RoutedTransport onto the shared engine and the sparse
-// pipeline opened to explicit substrates: hop-by-hop expansion changed
-// that family's traffic by design, and these checksums freeze it.
+//     behavior from here on;
+//   * sparse_engine_goldens -- pinned when chord-drr moved off its bespoke
+//     RoutedTransport onto the shared engine and the sparse pipeline
+//     opened to explicit substrates: hop-by-hop expansion changed that
+//     family's traffic by design, and these checksums freeze it;
+//   * phase3_path_goldens -- pinned before the dense and routed pipelines
+//     shared one Gossip-max and one push-sum protocol, on the Phase III
+//     carrier paths no other family reaches.
 //
 // Every sweep is additionally checked at --threads 1/4/8 (and the median
 // bisection at intra_threads 1/4): any divergence is a scheduling leak.
@@ -174,6 +176,54 @@ std::vector<GoldenCase> sparse_engine_goldens() {
   return cases;
 }
 
+/// Phase III path pins, recorded before the dense and routed pipelines
+/// shared one Gossip-max and one push-sum protocol: each covers a carrier
+/// path that no other checksum reaches (routed push-sum under per-hop
+/// loss and latency, the armed hop carry-ack, stranded routes and
+/// perimeter detours on a crashed torus, and the dense push-sum ack
+/// deadline under event-time latency).
+std::vector<GoldenCase> phase3_path_goldens() {
+  sim::LatencyModel uniform_0_4;
+  uniform_0_4.kind = sim::LatencyModel::Kind::kUniform;
+  uniform_0_4.max_delay = 4;
+  std::vector<GoldenCase> cases;
+  {
+    GoldenCase c{"chord_drr_ave_loss_latency", "chord-drr", 0x9d265ff44d1c41c3ULL,
+                 spec_of(256, api::Aggregate::kAve, 41)};
+    c.spec.faults.loss_prob = 0.05;
+    c.spec.faults.latency = uniform_0_4;
+    cases.push_back(c);
+  }
+  {
+    GoldenCase c{"drr_sparse_grid_ave_carry_ack", "drr", 0xf506a291cb2c8fa8ULL,
+                 spec_of(256, api::Aggregate::kAve, 43)};
+    c.spec.topology.kind = sim::TopologyKind::kGrid2d;
+    c.spec.pipeline = api::Pipeline::kSparse;
+    c.spec.faults.loss_prob = 0.01;
+    SparseGossipConfig cfg;
+    cfg.push_sum.hop_carry_ack = true;
+    c.spec.config = cfg;
+    cases.push_back(c);
+  }
+  {
+    GoldenCase c{"drr_sparse_torus_ave_crash", "drr", 0xa328a7ccf1e4e0b9ULL,
+                 spec_of(256, api::Aggregate::kAve, 47)};
+    c.spec.topology.kind = sim::TopologyKind::kGrid2d;
+    c.spec.topology.torus = true;
+    c.spec.pipeline = api::Pipeline::kSparse;
+    c.spec.faults.crash_fraction = 0.05;
+    cases.push_back(c);
+  }
+  {
+    GoldenCase c{"drr_ave_latency_crash", "drr", 0x5914ff7f6b17f523ULL,
+                 spec_of(256, api::Aggregate::kAve, 53)};
+    c.spec.faults.latency = uniform_0_4;
+    c.spec.faults.crash_fraction = 0.1;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
 void check_case(const GoldenCase& c) {
   const auto t1 = api::run_trials(c.algo, c.spec, 3, 1);
   const std::uint64_t h1 = api::sweep_checksum(t1);
@@ -194,6 +244,10 @@ TEST(GoldenDeterminism, ExplicitTopologySweepsAreBitIdentical) {
 
 TEST(GoldenDeterminism, SparseEngineSweepsAreBitIdentical) {
   for (const GoldenCase& c : sparse_engine_goldens()) check_case(c);
+}
+
+TEST(GoldenDeterminism, PhaseThreePathSweepsAreBitIdentical) {
+  for (const GoldenCase& c : phase3_path_goldens()) check_case(c);
 }
 
 TEST(GoldenDeterminism, GridSweepIsThreadCountInvariant) {

@@ -94,6 +94,29 @@ TEST(SparsePipeline, SurvivesModelLoss) {
   EXPECT_TRUE(r.consensus);
 }
 
+// The routed run functions honour round_budget_scale like the dense ones:
+// a doubled budget runs more rounds, and max stays exact.
+TEST(SparsePipeline, RoundBudgetScaleStretchesRoutedPhaseThree) {
+  const std::uint32_t n = 256;
+  ChordOverlay chord{n, 7};
+  const Graph links = overlay_graph(chord);
+  const auto values = make_values(n, 700);
+  const auto base = sparse_drr_gossip_max(chord, links, values, 7);
+  SparseGossipConfig scaled;
+  scaled.gossip_max.round_budget_scale = 2.0;
+  const auto r = sparse_drr_gossip_max(chord, links, values, 7, {}, scaled);
+  EXPECT_GT(r.metrics.gossip.rounds, base.metrics.gossip.rounds);
+  EXPECT_GT(r.rounds_total, base.rounds_total);
+  EXPECT_DOUBLE_EQ(r.value, *std::max_element(values.begin(), values.end()));
+  EXPECT_TRUE(r.consensus);
+
+  const auto ave_base = sparse_drr_gossip_ave(chord, links, values, 7);
+  SparseGossipConfig ave_scaled;
+  ave_scaled.push_sum.round_budget_scale = 2.0;
+  const auto ave = sparse_drr_gossip_ave(chord, links, values, 7, {}, ave_scaled);
+  EXPECT_GT(ave.metrics.gossip.rounds, ave_base.metrics.gossip.rounds);
+}
+
 TEST(SparsePipeline, Theorem14TimePolylog) {
   // Time O(log^2 n): across a 16x growth in n, rounds grow by at most
   // ~(log ratio)^2, nowhere near linearly.
