@@ -286,10 +286,9 @@ RunReport run_drr_udp(const RunSpec& spec, RunReport report) {
     report.error = "--transport udp implements the dense pipeline only";
     return report;
   }
-  // Structured adversity needs a wall clock to land on: block SIGKILLs,
-  // partition cuts and join births are marks at round * round_ms.
-  const std::int64_t round_ms =
-      spec.udp_round_ms > 0 ? spec.udp_round_ms : (spec.faults.needs_wall_clock() ? 250 : 0);
+  // Every scheduled death, join, cut and delay is a wall mark at
+  // round * round_ms.
+  const std::int64_t round_ms = spec.udp_round_ms;
   net::ChaosSpec chaos;
   if (!spec.udp_chaos.empty()) {
     const auto parsed = parse_chaos(spec.udp_chaos);
@@ -320,28 +319,26 @@ RunReport run_drr_udp(const RunSpec& spec, RunReport report) {
   copt.port_base = spec.udp_port_base;
   copt.node_template.chaos = chaos;
   copt.node_template.round_ms = round_ms;
-  if (round_ms > 0) {
-    // Real SIGKILLs land on the bootstrap barrier: every node holds in
-    // bootstrap until the last scheduled death mark has passed, so a
-    // victim answers hellos and then vanishes ungracefully but never
-    // pushes a founding value into the tree.  That keeps the surviving
-    // cohort's fold bit-comparable with the simulator truth (which is
-    // computed over the survivor mask) even for max/min, where a value
-    // leaked by a dead node could never be retracted.
-    const sim::FaultTimeline timeline =
-        sim::full_timeline(spec.n, RngFactory{spec.seed}, spec.faults);
-    std::int64_t latest_death = 0;
-    for (const std::uint32_t d : timeline.death)
-      if (d != 0 && d != sim::kNeverCrashes)
-        latest_death = std::max(latest_death, static_cast<std::int64_t>(d) * round_ms);
-    if (latest_death > 0) {
-      copt.node_template.bootstrap_min_ms =
-          std::max(copt.node_template.bootstrap_min_ms, latest_death + 750);
-      copt.node_template.bootstrap_timeout_ms =
-          std::max(copt.node_template.bootstrap_timeout_ms,
-                   copt.node_template.bootstrap_min_ms + 3000);
-      copt.node_template.deadline_ms += latest_death;
-    }
+  // Deaths land on the bootstrap barrier: every node holds in bootstrap
+  // until the last scheduled death mark has passed, so a victim answers
+  // hellos and then goes silent but never pushes a founding value into
+  // the tree.  That keeps the surviving cohort's fold bit-comparable
+  // with the simulator truth (which is computed over the survivor mask)
+  // even for max/min, where a value leaked by a dead node could never be
+  // retracted.
+  const sim::FaultTimeline timeline =
+      sim::full_timeline(spec.n, RngFactory{spec.seed}, spec.faults);
+  std::int64_t latest_death = 0;
+  for (const std::uint32_t d : timeline.death)
+    if (d != 0 && d != sim::kNeverCrashes)
+      latest_death = std::max(latest_death, static_cast<std::int64_t>(d) * round_ms);
+  if (latest_death > 0) {
+    copt.node_template.bootstrap_min_ms =
+        std::max(copt.node_template.bootstrap_min_ms, latest_death + 750);
+    copt.node_template.bootstrap_timeout_ms =
+        std::max(copt.node_template.bootstrap_timeout_ms,
+                 copt.node_template.bootstrap_min_ms + 3000);
+    copt.node_template.deadline_ms += latest_death;
   }
   // Cuts that heal mid-run need every survivor still listening past the
   // heal, plus headroom for the post-final re-convergence to settle.

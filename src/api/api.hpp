@@ -126,11 +126,12 @@ struct RunSpec {
   /// kUdp only: datagram-level chaos spec in the scenario_text grammar
   /// ("drop:0.1,dup:0.05,reorder:0.2/4,cut:24@500-4000"); empty = none.
   std::string udp_chaos;
-  /// kUdp only: wall-clock milliseconds per scheduled round.  > 0 maps
-  /// the fault schedule's block-crash/partition/join/latency events onto
-  /// the real runtime (SIGKILL marks, chaos cuts, late spawns); 0 keeps
-  /// the legacy loss/crash/churn-only behavior and rejects the rest.
-  std::int64_t udp_round_ms = 0;
+  /// kUdp only: wall-clock milliseconds per scheduled round, in
+  /// [1, net::kMaxRoundMs] (else api::run rejects the spec).  Every
+  /// churn/block-crash death, join birth, partition cut and latency draw
+  /// of the fault schedule lands on the real runtime at
+  /// round * udp_round_ms.
+  std::int64_t udp_round_ms = 250;
   /// Per-node inputs.  Empty = synthesize workload::make_values(n, seed,
   /// workload_range) (algorithms requiring positive inputs substitute
   /// workload::positive_range() when the range admits values <= 0).

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "net/node.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -174,6 +175,12 @@ RunReport run(std::string_view algorithm, const RunSpec& spec) {
   }
   if (spec.n < 2) {
     report.error = "invalid spec: need n >= 2";
+    return report;
+  }
+  if (spec.transport == Transport::kUdp &&
+      (spec.udp_round_ms <= 0 || spec.udp_round_ms > net::kMaxRoundMs)) {
+    report.error = "invalid spec: udp_round_ms must lie in [1, " +
+                   std::to_string(net::kMaxRoundMs) + "]";
     return report;
   }
   if (!spec.values.empty() && spec.values.size() != spec.n) {

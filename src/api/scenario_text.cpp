@@ -1,8 +1,11 @@
 #include "api/scenario_text.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <utility>
+
+#include "support/parse.hpp"
 
 namespace drrg::api {
 
@@ -23,25 +26,62 @@ bool for_each_item(std::string_view text, Fn&& item_fn) {
   return true;
 }
 
+// Every number goes through support::parse_number: the whole text, no
+// sign an unsigned field cannot hold, no blanks, no hex, no overflow,
+// no NaN -- never a silent wrap or truncation.
+template <class T>
+bool parse_in(std::string_view text, T lo, T hi, T* out) {
+  const std::optional<T> v = support::parse_number<T>(text, lo, hi);
+  if (v.has_value()) *out = *v;
+  return v.has_value();
+}
+
 bool parse_u32(std::string_view text, std::uint32_t* out) {
-  if (text.empty()) return false;
-  const std::string str{text};
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(str.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::uint32_t>(v);
+  return parse_in<std::uint32_t>(text, 0, std::numeric_limits<std::uint32_t>::max(), out);
+}
+
+// A fraction of a cohort, in (0, 1).
+bool parse_frac(std::string_view text, double* out) {
+  double v = 0.0;
+  if (!parse_in(text, 0.0, 1.0, &v) || v == 0.0 || v == 1.0) return false;
+  *out = v;
   return true;
 }
 
-bool parse_frac(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  const std::string str{text};
-  char* end = nullptr;
-  const double v = std::strtod(str.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (v <= 0.0 || v >= 1.0) return false;
-  *out = v;
-  return true;
+// Shortest text that parses back to exactly `x`, so a rendered schedule
+// re-parses to the same schedule ("%g" would round 0.99999995 up to
+// "1", which no fraction grammar accepts).
+std::string format_real(double x) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, x).ptr);
+}
+
+// "R:F" events (churn and joins share the grammar).
+template <class Event>
+std::optional<std::vector<Event>> parse_round_fractions(std::string_view text) {
+  std::vector<Event> events;
+  if (text.empty()) return events;
+  const bool ok = for_each_item(text, [&](std::string_view item) {
+    const std::size_t colon = item.find(':');
+    if (colon == std::string_view::npos) return false;
+    Event e{};
+    if (!parse_u32(item.substr(0, colon), &e.round)) return false;
+    if (!parse_frac(item.substr(colon + 1), &e.fraction)) return false;
+    events.push_back(e);
+    return true;
+  });
+  if (!ok) return std::nullopt;
+  return events;
+}
+
+template <class Event>
+std::string format_round_fractions(const std::vector<Event>& events) {
+  std::string out;
+  for (const Event& e : events) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(e.round) + ':' + format_real(e.fraction);
+  }
+  return out;
 }
 
 // "A-B" -> two u32s with A <= B.
@@ -56,66 +96,19 @@ bool parse_range(std::string_view text, std::uint32_t* lo, std::uint32_t* hi) {
 }  // namespace
 
 std::optional<std::vector<sim::CrashEvent>> parse_churn(std::string_view text) {
-  std::vector<sim::CrashEvent> events;
-  if (text.empty()) return events;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string_view item = text.substr(pos, comma - pos);
-    const std::size_t colon = item.find(':');
-    if (colon == std::string_view::npos || colon == 0 || colon + 1 >= item.size())
-      return std::nullopt;
-    const std::string round_str{item.substr(0, colon)};
-    const std::string frac_str{item.substr(colon + 1)};
-    char* end = nullptr;
-    const unsigned long round = std::strtoul(round_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return std::nullopt;
-    const double fraction = std::strtod(frac_str.c_str(), &end);
-    if (end == nullptr || *end != '\0') return std::nullopt;
-    if (fraction <= 0.0 || fraction >= 1.0) return std::nullopt;
-    events.push_back({static_cast<std::uint32_t>(round), fraction});
-    if (comma == text.size()) break;
-    pos = comma + 1;
-  }
-  return events;
+  return parse_round_fractions<sim::CrashEvent>(text);
 }
 
 std::string format_churn(const std::vector<sim::CrashEvent>& churn) {
-  std::string out;
-  char buf[64];
-  for (const sim::CrashEvent& e : churn) {
-    if (!out.empty()) out += ',';
-    std::snprintf(buf, sizeof buf, "%u:%g", e.round, e.fraction);
-    out += buf;
-  }
-  return out;
+  return format_round_fractions(churn);
 }
 
 std::optional<std::vector<sim::JoinEvent>> parse_joins(std::string_view text) {
-  std::vector<sim::JoinEvent> events;
-  if (text.empty()) return events;
-  const bool ok = for_each_item(text, [&](std::string_view item) {
-    const std::size_t colon = item.find(':');
-    if (colon == std::string_view::npos) return false;
-    sim::JoinEvent e{};
-    if (!parse_u32(item.substr(0, colon), &e.round)) return false;
-    if (!parse_frac(item.substr(colon + 1), &e.fraction)) return false;
-    events.push_back(e);
-    return true;
-  });
-  if (!ok) return std::nullopt;
-  return events;
+  return parse_round_fractions<sim::JoinEvent>(text);
 }
 
 std::string format_joins(const std::vector<sim::JoinEvent>& joins) {
-  std::string out;
-  char buf[64];
-  for (const sim::JoinEvent& e : joins) {
-    if (!out.empty()) out += ',';
-    std::snprintf(buf, sizeof buf, "%u:%g", e.round, e.fraction);
-    out += buf;
-  }
-  return out;
+  return format_round_fractions(joins);
 }
 
 std::optional<std::vector<sim::BlockCrashEvent>> parse_blocks(std::string_view text) {
@@ -224,12 +217,7 @@ std::optional<sim::LatencyModel> parse_latency(std::string_view text) {
     if (c2 == std::string_view::npos) return std::nullopt;
     if (!parse_range(rest.substr(0, c2), &latency.min_delay, &latency.max_delay))
       return std::nullopt;
-    const std::string prob_str{rest.substr(c2 + 1)};
-    char* end = nullptr;
-    const double p = std::strtod(prob_str.c_str(), &end);
-    if (end == nullptr || *end != '\0' || prob_str.empty()) return std::nullopt;
-    if (!(p >= 0.0) || p > 1.0) return std::nullopt;
-    latency.tail_prob = p;
+    if (!parse_in(rest.substr(c2 + 1), 0.0, 1.0, &latency.tail_prob)) return std::nullopt;
     latency.kind = sim::LatencyModel::Kind::kHeavyTail;
     return latency;
   }
@@ -250,9 +238,8 @@ std::string format_latency(const sim::LatencyModel& latency) {
                     latency.max_delay);
       break;
     case sim::LatencyModel::Kind::kHeavyTail:
-      std::snprintf(buf, sizeof buf, "tail:%u-%u:%g", latency.min_delay,
-                    latency.max_delay, latency.tail_prob);
-      break;
+      std::snprintf(buf, sizeof buf, "tail:%u-%u:", latency.min_delay, latency.max_delay);
+      return buf + format_real(latency.tail_prob);
   }
   return buf;
 }
@@ -281,24 +268,15 @@ namespace {
 // Chaos probabilities allow 1.0 ("corrupt:1" is the always-reject soak),
 // unlike the (0, 1) crash fractions.
 bool parse_prob(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  const std::string str{text};
-  char* end = nullptr;
-  const double v = std::strtod(str.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (v <= 0.0 || v > 1.0) return false;
+  double v = 0.0;
+  if (!parse_in(text, 0.0, 1.0, &v) || v == 0.0) return false;
   *out = v;
   return true;
 }
 
-bool parse_i64(std::string_view text, std::int64_t* out) {
-  if (text.empty()) return false;
-  const std::string str{text};
-  char* end = nullptr;
-  const long long v = std::strtoll(str.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v < 0) return false;
-  *out = v;
-  return true;
+// A non-negative millisecond mark.
+bool parse_ms(std::string_view text, std::int64_t* out) {
+  return parse_in<std::int64_t>(text, 0, std::numeric_limits<std::int64_t>::max(), out);
 }
 
 }  // namespace
@@ -339,10 +317,10 @@ std::optional<net::ChaosSpec> parse_chaos(std::string_view text) {
       if (!parse_u32(rest.substr(0, at), &cut.boundary)) return false;
       const std::string_view marks = rest.substr(at + 1);
       const std::size_t dash = marks.find('-');
-      if (!parse_i64(marks.substr(0, std::min(dash, marks.size())), &cut.start_ms))
+      if (!parse_ms(marks.substr(0, std::min(dash, marks.size())), &cut.start_ms))
         return false;
       if (dash != std::string_view::npos) {
-        if (!parse_i64(marks.substr(dash + 1), &cut.heal_ms)) return false;
+        if (!parse_ms(marks.substr(dash + 1), &cut.heal_ms)) return false;
         if (cut.heal_ms <= cut.start_ms) return false;
       }
       spec.cuts.push_back(cut);
@@ -356,26 +334,24 @@ std::optional<net::ChaosSpec> parse_chaos(std::string_view text) {
 
 std::string format_chaos(const net::ChaosSpec& spec) {
   std::string out;
-  char buf[96];
-  const auto add = [&](const char* fmt, auto... args) {
+  const auto add = [&](const std::string& item) {
     if (!out.empty()) out += ',';
-    std::snprintf(buf, sizeof buf, fmt, args...);
-    out += buf;
+    out += item;
   };
-  if (spec.drop > 0.0) add("drop:%g", spec.drop);
-  if (spec.dup > 0.0) add("dup:%g", spec.dup);
-  if (spec.corrupt > 0.0) add("corrupt:%g", spec.corrupt);
-  if (spec.reorder > 0.0) add("reorder:%g/%u", spec.reorder, spec.reorder_span);
-  if (!spec.delay.zero()) {
-    if (!out.empty()) out += ',';
-    out += "delay:" + format_latency(spec.delay);
-  }
+  if (spec.drop > 0.0) add("drop:" + format_real(spec.drop));
+  if (spec.dup > 0.0) add("dup:" + format_real(spec.dup));
+  if (spec.corrupt > 0.0) add("corrupt:" + format_real(spec.corrupt));
+  if (spec.reorder > 0.0)
+    add("reorder:" + format_real(spec.reorder) + "/" + std::to_string(spec.reorder_span));
+  if (!spec.delay.zero()) add("delay:" + format_latency(spec.delay));
   for (const net::ChaosCut& cut : spec.cuts) {
-    if (cut.heal_ms != net::ChaosCut::kNoHeal)
-      add("cut:%u@%lld-%lld", cut.boundary, static_cast<long long>(cut.start_ms),
-          static_cast<long long>(cut.heal_ms));
-    else
-      add("cut:%u@%lld", cut.boundary, static_cast<long long>(cut.start_ms));
+    std::string item =
+        "cut:" + std::to_string(cut.boundary) + "@" + std::to_string(cut.start_ms);
+    if (cut.heal_ms != net::ChaosCut::kNoHeal) {
+      item += '-';
+      item += std::to_string(cut.heal_ms);
+    }
+    add(item);
   }
   return out;
 }

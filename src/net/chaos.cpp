@@ -7,7 +7,6 @@ namespace drrg::net {
 
 ChaosSpec chaos_with_faults(ChaosSpec base, const sim::FaultSchedule& faults,
                             std::int64_t round_ms) {
-  if (round_ms <= 0) return base;
   for (const sim::PartitionEvent& p : faults.partitions) {
     ChaosCut cut;
     cut.start_ms = static_cast<std::int64_t>(p.round) * round_ms;

@@ -80,8 +80,8 @@ struct ChaosSpec {
 /// Folds a FaultSchedule's transport-level adversity into a chaos spec:
 /// PartitionEvents become wall-clock cuts at round * round_ms, and the
 /// schedule's LatencyModel (round units) becomes a delay model in ms.
-/// Node deaths/births are NOT mapped -- those are real SIGKILLs and
-/// late spawns, owned by the multiproc driver.
+/// Node deaths/births are NOT mapped -- each node keeps those wall
+/// marks itself (net/node.hpp).
 [[nodiscard]] ChaosSpec chaos_with_faults(ChaosSpec base, const sim::FaultSchedule& faults,
                                           std::int64_t round_ms);
 

@@ -106,26 +106,11 @@ ClusterReport run_cluster(const ClusterOptions& options) {
   }
   out.port_base = base;
 
-  // With a wall-clock round scale the parent shares the fault timeline
-  // with every child (it is a pure function of seed + schedule): it
-  // needs the death marks to deliver real SIGKILLs and the birth marks
-  // to widen the deadline past the latest joiner.
-  const std::int64_t round_ms = options.node_template.round_ms;
-  sim::FaultTimeline timeline;
-  if (round_ms > 0) {
-    timeline = sim::full_timeline(options.n, RngFactory{options.seed}, options.faults);
-  }
-  const auto midrun_victim = [&](std::uint32_t v) {
-    return round_ms > 0 && v < timeline.death.size() &&
-           timeline.death[v] != 0 && timeline.death[v] != sim::kNeverCrashes;
-  };
-
   struct Child {
     pid_t pid = -1;
     int fd = -1;  // read end of the report pipe
     std::string line;
     bool done = false;
-    bool killed = false;  // parent delivered its scheduled SIGKILL
   };
   std::vector<Child> children(options.n);
 
@@ -153,9 +138,6 @@ ClusterReport run_cluster(const ClusterOptions& options) {
       opt.seed = options.seed;
       opt.faults = options.faults;
       opt.values = options.values;
-      // A real-kill victim must not exit cleanly at its mark -- the
-      // parent's SIGKILL is the death, arriving mid-whatever.
-      if (midrun_victim(v)) opt.self_halt = false;
       if (explicit_seeds) {
         opt.seed_list = options.seed_list;
         opt.port_base = 0;
@@ -183,31 +165,19 @@ ClusterReport run_cluster(const ClusterOptions& options) {
 
   // Collect until every pipe closes or the cluster deadline passes.  A
   // joiner's own deadline clock only starts after its birth sleep, so
-  // the cluster-wide bound stretches past the latest birth mark.
-  std::int64_t deadline_ms = options.node_template.deadline_ms + 5000;
-  if (round_ms > 0) {
-    for (const std::uint32_t b : timeline.birth) {
-      deadline_ms = std::max(deadline_ms, static_cast<std::int64_t>(b) * round_ms +
-                                              options.node_template.deadline_ms + 5000);
-    }
-  }
-  const auto deadline = t0 + std::chrono::milliseconds(deadline_ms);
+  // the cluster-wide bound stretches past the latest birth mark (the
+  // timeline is a pure function of seed + schedule, shared with every
+  // child).
+  const sim::FaultTimeline timeline =
+      sim::full_timeline(options.n, RngFactory{options.seed}, options.faults);
+  std::int64_t latest_birth_ms = 0;  // kBornAtStart is round 0
+  for (const std::uint32_t b : timeline.birth)
+    latest_birth_ms = std::max(latest_birth_ms,
+                               static_cast<std::int64_t>(b) * options.node_template.round_ms);
+  const auto deadline = t0 + std::chrono::milliseconds(
+                                 latest_birth_ms + options.node_template.deadline_ms + 5000);
   char buf[512];
   while (true) {
-    // Deliver scheduled kills whose wall marks have passed: correlated
-    // block outages land as a burst of real SIGKILLs, not clean exits.
-    if (round_ms > 0) {
-      const std::int64_t now = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                   Clock::now() - t0)
-                                   .count();
-      for (std::uint32_t v = 0; v < options.n; ++v) {
-        Child& c = children[v];
-        if (c.killed || c.pid <= 0 || !midrun_victim(v)) continue;
-        if (now < static_cast<std::int64_t>(timeline.death[v]) * round_ms) continue;
-        ::kill(c.pid, SIGKILL);
-        c.killed = true;
-      }
-    }
     std::vector<pollfd> pfds;
     std::vector<std::uint32_t> who;
     for (std::uint32_t v = 0; v < options.n; ++v) {
@@ -257,14 +227,6 @@ ClusterReport run_cluster(const ClusterOptions& options) {
     const std::size_t nl = c.line.find('\n');
     if (nl != std::string::npos && decode_report(c.line.substr(0, nl), parsed)) {
       out.nodes[v] = parsed;
-    }
-    if (c.killed) {
-      // A SIGKILLed victim reports nothing, by design: account it as
-      // its scheduled crash so the cluster verdict skips it.
-      out.nodes[v].node = v;
-      out.nodes[v].ok = false;
-      out.nodes[v].scheduled_crash = true;
-      out.nodes[v].error = "SIGKILLed at its death mark";
     }
   }
 

@@ -36,11 +36,12 @@ struct ClusterOptions {
   /// non-local address simply fails each child's bind.
   std::vector<PeerAddr> seed_list;
   /// Template for per-node timing knobs (node/n/seed/faults/ports are
-  /// overwritten per child); chaos / round_ms / self_halt reach every
-  /// child.  With round_ms > 0 mid-run deaths from the fault timeline are
-  /// *real* SIGKILLs from the parent at death_round * round_ms on the
-  /// cluster clock: the victim runs with self_halt off and dies
-  /// mid-syscall.  Round-0 victims never spawn.
+  /// overwritten per child); chaos and round_ms reach every child.  Each
+  /// child keeps the fault schedule's wall marks itself: a mid-run victim
+  /// halts at death_round * round_ms and still reports (scheduled_crash
+  /// set, its datagrams counted), a round-0 victim reports without
+  /// binding, and a joiner binds at birth_round * round_ms.  The parent
+  /// only widens its deadline past the latest birth mark.
   NodeOptions node_template{};
 };
 

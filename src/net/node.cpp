@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -125,18 +126,18 @@ class NodeRuntime {
     // node consults only its *own* fate; peer liveness is learned the
     // distributed way (timeouts + membership gossip).
     const sim::FaultTimeline timeline = sim::full_timeline(opt_.n, rngs_, opt_.faults);
-    death_round_ = timeline.death[opt_.node];
-    birth_round_ = timeline.birth[opt_.node];
-    if (death_round_ == 0) {
+    const std::uint32_t death = timeline.death[opt_.node];
+    const std::uint32_t birth = timeline.birth[opt_.node];
+    if (death == 0) {
       report.scheduled_crash = true;
       return report;  // down from the start: never binds
     }
-    // A joiner sleeps through its absence: with a wall-clock round scale
-    // the process exists from launch but only binds (and starts its own
-    // clocks) at birth_round * round_ms on the cluster clock.
-    if (birth_round_ != sim::kBornAtStart && opt_.round_ms > 0) {
-      start_delay_ = static_cast<std::int64_t>(birth_round_) * opt_.round_ms;
-      std::this_thread::sleep_for(std::chrono::milliseconds(start_delay_));
+    // A joiner sleeps through its absence: the process exists from launch
+    // but only binds (and starts its own clocks) at birth_round * round_ms.
+    std::int64_t start_delay = 0;
+    if (birth != sim::kBornAtStart) {
+      start_delay = static_cast<std::int64_t>(birth) * opt_.round_ms;
+      std::this_thread::sleep_for(std::chrono::milliseconds(start_delay));
     }
 
     values_ = opt_.values;
@@ -159,12 +160,13 @@ class NodeRuntime {
                     rngs_.engine_stream(derive_seed(0x105eULL, opt_.node)));
     }
     // Fold the schedule's transport-level adversity (partitions,
-    // latency) into the chaos spec; deaths/births stay real (SIGKILL /
-    // late spawn).  A zero spec keeps the transport in passthrough.
+    // latency) into the chaos spec; deaths and births are the wall marks
+    // this node keeps itself.  A zero spec keeps the transport in
+    // passthrough.
     const ChaosSpec chaos = chaos_with_faults(opt_.chaos, opt_.faults, opt_.round_ms);
     if (!chaos.zero()) {
       udp_.set_chaos(chaos, opt_.node, rngs_.node_stream(opt_.node, 0xc4a05ULL),
-                     start_delay_);
+                     start_delay);
     }
     backoff_rng_ = rngs_.node_stream(opt_.node, 0xb0ffULL);
     dedup_.assign(opt_.n, DedupRing{});
@@ -181,12 +183,14 @@ class NodeRuntime {
     // traffic (probe, relay, adopt the final) but hold no founding
     // value, so the fold stays the surviving round-0 cohort's aggregate.
     joiner_.assign(opt_.n, false);
-    if (opt_.round_ms > 0) {
-      for (std::uint32_t v = 0; v < opt_.n; ++v)
-        joiner_[v] = timeline.birth[v] != sim::kBornAtStart;
-      if (joiner_[opt_.node]) own_stats_ = Stats{};
-    }
+    for (std::uint32_t v = 0; v < opt_.n; ++v)
+      joiner_[v] = timeline.birth[v] != sim::kBornAtStart;
+    if (joiner_[opt_.node]) own_stats_ = Stats{};
 
+    // Mid-run death: the wall mark, re-based from the launch clock onto
+    // this node's own (a joiner's starts after its birth sleep).
+    if (death != sim::kNeverCrashes)
+      death_mark_ = static_cast<std::int64_t>(death) * opt_.round_ms - start_delay;
     t0_ = Clock::now();
     loop();
 
@@ -230,21 +234,9 @@ class NodeRuntime {
     while (true) {
       const std::int64_t now = now_ms();
       if (now >= opt_.deadline_ms) return;
-      if (death_round_ != sim::kNeverCrashes && opt_.self_halt) {
-        // Mid-run churn: go silent, as scheduled.  With a wall-clock
-        // round scale the mark is on the cluster clock (start_delay_
-        // re-bases a joiner); otherwise the legacy protocol-step count
-        // approximates the round.  self_halt == false leaves the death
-        // to the driver's SIGKILL -- a real crash, not a clean return.
-        const bool due =
-            opt_.round_ms > 0
-                ? now + start_delay_ >=
-                      static_cast<std::int64_t>(death_round_) * opt_.round_ms
-                : steps_ >= death_round_;
-        if (due) {
-          halted_by_schedule_ = true;
-          return;
-        }
+      if (now >= death_mark_) {  // mid-run churn: go silent, as scheduled
+        halted_by_schedule_ = true;
+        return;
       }
       if (phase_ == Phase::kLinger && now >= linger_until_) return;
 
@@ -933,9 +925,8 @@ class NodeRuntime {
 
   std::vector<double> values_;
   std::vector<bool> joiner_;  ///< birth > 0 per id (empty-valued peers)
-  std::uint32_t death_round_ = sim::kNeverCrashes;
-  std::uint32_t birth_round_ = sim::kBornAtStart;
-  std::int64_t start_delay_ = 0;  ///< joiner: cluster-clock ms slept before bind
+  /// now_ms() at which the fault schedule halts this node.
+  std::int64_t death_mark_ = std::numeric_limits<std::int64_t>::max();
   bool halted_by_schedule_ = false;
 
   DrrRules drr_rules_;
@@ -1048,12 +1039,19 @@ bool decode_report(const std::string& line, NodeReport& out) {
   return true;
 }
 
+std::string json_number(double x) {
+  if (!std::isfinite(x)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", x);
+  return buf;
+}
+
 std::string report_json(const NodeReport& r) {
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "{\"node\":%u,\"crashed\":%s,\"ok\":%s,\"root\":%s,\"parent\":%d,"
-      "\"max\":%.17g,\"min\":%.17g,\"sum\":%.17g,\"count\":%" PRIu64
+      "\"max\":%s,\"min\":%s,\"sum\":%s,\"count\":%" PRIu64
       ",\"sent\":%" PRIu64 ",\"delivered\":%" PRIu64 ",\"bits\":%" PRIu64
       ",\"retries\":%" PRIu64 ",\"steps\":%u,\"roots_seen\":%u,\"wall_ms\":%" PRId64
       ",\"duplicates_dropped\":%" PRIu64 ",\"corrupt_rejected\":%" PRIu64
@@ -1061,8 +1059,8 @@ std::string report_json(const NodeReport& r) {
       ",\"suspect_flaps\":%" PRIu64 ",\"error\":\"%s\"}",
       r.node, r.scheduled_crash ? "true" : "false", r.ok ? "true" : "false",
       r.root ? "true" : "false",
-      r.parent == 0xffffffffu ? -1 : static_cast<int>(r.parent), r.max, r.min, r.sum,
-      r.count, r.sent, r.delivered, r.bits, r.retries, r.steps, r.roots_seen, r.wall_ms,
+      r.parent == 0xffffffffu ? -1 : static_cast<int>(r.parent), json_number(r.max).c_str(),
+      json_number(r.min).c_str(), json_number(r.sum).c_str(), r.count, r.sent, r.delivered, r.bits, r.retries, r.steps, r.roots_seen, r.wall_ms,
       r.duplicates_dropped, r.corrupt_rejected, r.reorders_buffered, r.backoff_ms_total,
       r.suspect_flaps, r.error.c_str());
   return std::string{buf};

@@ -40,12 +40,15 @@
 //
 // Fault schedule: the node computes sim::full_timeline(n, seed,
 // faults) -- a pure function of the root seed, so every process and the
-// simulator agree on it without coordination.  A node whose death round
-// is 0 reports itself crashed and never binds; a mid-run death round r
-// halts the node after r protocol steps (an approximation of the
-// simulator's global round clock -- real processes have no lockstep
-// rounds).  Link loss can be injected on the send path with the same
-// Bernoulli model the simulator applies.
+// simulator agree on it without coordination.  Rounds live on one wall
+// clock, round_ms milliseconds per round.  A node whose death round is
+// 0 reports itself crashed and never binds; a mid-run death round r
+// halts the node at the wall mark r * round_ms (checked on every 1 ms
+// pass of the event loop), and it reports with scheduled_crash set.  A
+// joiner born at round b sleeps until b * round_ms before it binds, and
+// every node clocks its marks from its own start, so the marks of a
+// cluster launched together line up.  Link loss can be injected on the
+// send path with the same Bernoulli model the simulator applies.
 //
 // NodeOptions holds the deployment settings and the few timings that
 // run_cluster's callers widen (bootstrap, linger, deadline); the
@@ -62,6 +65,11 @@
 #include "net/udp_transport.hpp"
 
 namespace drrg::net {
+
+/// Largest NodeOptions::round_ms the front-ends accept (one hour per
+/// round): any u32 round times it stays far inside int64, so no wall
+/// mark overflows.
+inline constexpr std::int64_t kMaxRoundMs = 3'600'000;
 
 struct NodeOptions {
   std::uint32_t node = 0;  ///< this process's node id in [0, n)
@@ -87,21 +95,18 @@ struct NodeOptions {
   /// Datagram-level chaos (drop/dup/reorder/delay/corrupt/cut), layered
   /// on by ChaosTransport; zero = byte-identical passthrough.
   ChaosSpec chaos{};
-  /// >0: wall-clock milliseconds per scheduled round -- death rounds and
-  /// join births become wall marks at round * round_ms, and the fault
-  /// schedule's partitions/latency fold into the chaos spec.  0 keeps
-  /// the legacy protocol-steps approximation.
-  std::int64_t round_ms = 0;
-  /// false: the multiproc driver owns mid-run deaths (real SIGKILL); the
-  /// node never halts itself on its death mark.
-  bool self_halt = true;
+  /// Wall-clock milliseconds per scheduled round, in [1, kMaxRoundMs]:
+  /// deaths halt the node at death_round * round_ms, join births bind it
+  /// at birth_round * round_ms, and the fault schedule's
+  /// partitions/latency fold into the chaos spec on the same clock.
+  std::int64_t round_ms = 250;
 };
 
 /// What one node process reports when it exits (serialised over a pipe
 /// by the multi-process driver, or as JSON by the drrg_node daemon).
 struct NodeReport {
   std::uint32_t node = 0;
-  bool scheduled_crash = false;  ///< fault timeline killed it at round 0
+  bool scheduled_crash = false;  ///< halted by the fault timeline (round 0 or its mark)
   bool ok = false;               ///< produced a final value before the deadline
   bool root = false;
   std::uint32_t parent = 0xffffffffu;  ///< 0xffffffff = none
@@ -115,7 +120,7 @@ struct NodeReport {
   std::uint64_t delivered = 0;
   std::uint64_t bits = 0;
   std::uint64_t retries = 0;
-  std::uint32_t steps = 0;  ///< protocol steps executed (round estimate)
+  std::uint32_t steps = 0;  ///< protocol steps executed (the run's round count)
   std::uint32_t roots_seen = 0;
   std::int64_t wall_ms = 0;
   // Degradation accounting: how much adversity the node absorbed.
@@ -137,5 +142,9 @@ struct NodeReport {
 
 /// JSON rendering for the drrg_node daemon's stdout.
 [[nodiscard]] std::string report_json(const NodeReport& report);
+
+/// One double as JSON: full round-trip precision, and null for the
+/// +-inf extrema of a node without a final value (JSON has no infinity).
+[[nodiscard]] std::string json_number(double x);
 
 }  // namespace drrg::net

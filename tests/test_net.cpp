@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -14,6 +16,7 @@
 #include "net/multiproc.hpp"
 #include "net/node.hpp"
 #include "net/udp_transport.hpp"
+#include "sim/scenario.hpp"
 #include "support/rng.hpp"
 #include "support/workload.hpp"
 
@@ -242,6 +245,16 @@ TEST(NodeReport, RoundTripsThroughThePipeEncoding) {
   net::NodeReport bad;
   EXPECT_FALSE(net::decode_report("not a report", bad));
   EXPECT_FALSE(net::decode_report("1|2|3", bad));
+
+  // A node without a final value (a scheduled victim) carries the empty
+  // fold's +-inf extrema; its JSON report must still be JSON.
+  net::NodeReport victim;
+  victim.scheduled_crash = true;
+  victim.max = -std::numeric_limits<double>::infinity();
+  victim.min = std::numeric_limits<double>::infinity();
+  const std::string json = net::report_json(victim);
+  EXPECT_NE(json.find("\"max\":null,\"min\":null,\"sum\":0,"), std::string::npos) << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
 }
 
 // --- the cluster end to end -------------------------------------------------
@@ -319,6 +332,59 @@ TEST(Cluster, ChurnDegradesButEveryNodeTerminatesWithAValue) {
   }
 }
 
+TEST(Cluster, ChurnVictimsHaltAtTheirWallMarkAndReport) {
+  if (!net::multiproc_available()) GTEST_SKIP() << "no fork/UDP on this platform";
+  // Every mid-run death is a wall mark on one clock: the victim stops
+  // itself at death_round * round_ms and still ships its report, so its
+  // datagrams are accounted like any other node's.
+  net::ClusterOptions opt;
+  opt.n = 12;
+  opt.seed = 5;
+  opt.faults = sim::FaultSchedule{/*loss=*/0.0, /*crash=*/0.0, {{3, 0.25}}};
+  opt.node_template.linger_ms = 300;
+  opt.node_template.deadline_ms = 20000;
+  const net::ClusterReport cluster = net::run_cluster(opt);
+  ASSERT_TRUE(cluster.ok) << cluster.error;
+  const sim::FaultTimeline timeline =
+      sim::full_timeline(opt.n, RngFactory{opt.seed}, opt.faults);
+  std::uint32_t victims = 0;
+  for (const net::NodeReport& r : cluster.nodes) {
+    const std::uint32_t death = timeline.death[r.node];
+    if (death == sim::kNeverCrashes) {
+      EXPECT_FALSE(r.scheduled_crash) << "node " << r.node;
+      continue;
+    }
+    ++victims;
+    EXPECT_TRUE(r.scheduled_crash) << "node " << r.node << ": " << r.error;
+    EXPECT_GE(r.wall_ms, static_cast<std::int64_t>(death) * opt.node_template.round_ms)
+        << "node " << r.node;
+    EXPECT_GT(r.sent, 0u) << "node " << r.node;
+  }
+  EXPECT_EQ(victims, 3u);
+}
+
+TEST(Cluster, PlainChurnCountEqualsTheSurvivorTruth) {
+  if (!net::multiproc_available()) GTEST_SKIP() << "no fork/UDP on this platform";
+  // A churn victim must never fold its founding value: the bootstrap
+  // barrier holds every node past the last death mark.  When plain churn
+  // ran on a protocol-step count instead of the wall clock, a victim
+  // could push its value up-tree before halting, and these runs counted
+  // 14 of 13 survivors.
+  api::RunSpec spec;
+  spec.n = 16;
+  spec.aggregate = api::Aggregate::kCount;
+  spec.faults = sim::FaultSchedule{/*loss=*/0.0, /*crash=*/0.0, {{3, 0.2}}};
+  spec.transport = api::Transport::kUdp;
+  for (const std::uint64_t seed : {1u, 3u}) {
+    spec.seed = seed;
+    const api::RunReport r = api::run("drr", spec);
+    ASSERT_TRUE(r.ok()) << "seed " << seed << ": " << r.error;
+    EXPECT_TRUE(r.consensus) << "seed " << seed;
+    EXPECT_EQ(r.value, r.truth) << "seed " << seed;
+    EXPECT_EQ(r.truth, 13.0) << "seed " << seed;
+  }
+}
+
 TEST(Cluster, MatchesTheSimulatorOnMaxUnderCrashes) {
   if (!net::multiproc_available()) GTEST_SKIP() << "no fork/UDP on this platform";
   api::RunSpec spec;
@@ -352,6 +418,16 @@ TEST(Registry, GatesTheUdpTransportPerAlgorithm) {
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.supported);
   EXPECT_NE(r.error.find("transport"), std::string::npos);
+
+  // The UDP runtime needs a positive wall clock per round.
+  for (const std::int64_t round_ms :
+       {std::int64_t{0}, std::int64_t{-250}, net::kMaxRoundMs + 1}) {
+    api::RunSpec clockless = spec;
+    clockless.udp_round_ms = round_ms;
+    const api::RunReport bad = api::run("drr", clockless);
+    EXPECT_FALSE(bad.ok()) << round_ms;
+    EXPECT_NE(bad.error.find("udp_round_ms"), std::string::npos) << bad.error;
+  }
 
   const api::AlgorithmInfo* drr = api::Registry::instance().find("drr");
   ASSERT_NE(drr, nullptr);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -171,6 +174,146 @@ TEST(Churn, ParseAndFormat) {
   EXPECT_FALSE(api::parse_churn("10:2.0").has_value());
   EXPECT_FALSE(api::parse_churn(":0.1").has_value());
   EXPECT_TRUE(api::parse_churn("").has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Scenario text under fuzz, the way test_wire fuzzes the frame codec:
+// random strings over each grammar's alphabet and single-byte mutations
+// of valid specs go through every parser.  Each call returns nullopt or a
+// value (ASan/UBSan enforce the "never UB" half), the rendering of an
+// accepted value parses back to the same rendering, an accepted value
+// keeps the ranges its grammar promises, and an accepted schedule either
+// validates or fails validation with a message.
+
+struct TextGrammar {
+  std::string_view flag;  ///< a schedule flag, or "--chaos"
+  std::string_view alphabet;
+  std::vector<std::string> corpus;  ///< valid specs to mutate
+};
+
+template <class Parsed, class Format>
+std::optional<std::string> rendered(const std::optional<Parsed>& parsed, Format format) {
+  if (!parsed.has_value()) return std::nullopt;
+  return format(*parsed);
+}
+
+/// Parses `text` in `flag`'s grammar and renders the value; nullopt when
+/// the parser rejects it.
+std::optional<std::string> parse_then_format(std::string_view flag, std::string_view text) {
+  if (flag == "--churn") return rendered(api::parse_churn(text), api::format_churn);
+  if (flag == "--join") return rendered(api::parse_joins(text), api::format_joins);
+  if (flag == "--block-crash") return rendered(api::parse_blocks(text), api::format_blocks);
+  if (flag == "--partition")
+    return rendered(api::parse_partitions(text), api::format_partitions);
+  if (flag == "--latency") return rendered(api::parse_latency(text), api::format_latency);
+  return rendered(api::parse_chaos(text), api::format_chaos);
+}
+
+std::string schedule_text(const sim::FaultSchedule& f) {
+  return api::format_churn(f.churn) + "|" + api::format_joins(f.joins) + "|" +
+         api::format_blocks(f.blocks) + "|" + api::format_partitions(f.partitions) + "|" +
+         api::format_latency(f.latency);
+}
+
+bool in_unit(double p) { return p >= 0.0 && p <= 1.0; }  // NaN fails
+
+void check_text(std::string_view flag, const std::string& text) {
+  SCOPED_TRACE(std::string{flag} + " '" + text + "'");
+  const std::optional<std::string> once = parse_then_format(flag, text);
+  if (once.has_value()) {
+    const std::optional<std::string> twice = parse_then_format(flag, *once);
+    ASSERT_TRUE(twice.has_value()) << "rendering '" << *once << "' does not parse";
+    EXPECT_EQ(*twice, *once);
+  }
+  if (flag == "--chaos") {
+    const auto spec = api::parse_chaos(text);
+    if (!spec.has_value()) return;
+    for (const double p : {spec->drop, spec->dup, spec->corrupt, spec->reorder})
+      EXPECT_TRUE(in_unit(p)) << p;
+    EXPECT_TRUE(in_unit(spec->delay.tail_prob));
+    EXPECT_TRUE(api::parse_chaos(api::format_chaos(*spec)) == spec)
+        << "value lost in rendering '" << api::format_chaos(*spec) << "'";
+    return;
+  }
+  // A failed apply leaves the schedule alone; an applied one matches the
+  // parser's verdict and keeps its grammar's ranges.
+  sim::FaultSchedule faults{0.0, 0.0, {{5, 0.5}}};
+  faults.partitions.push_back({4, 2, sim::kNeverRound});
+  const std::string before = schedule_text(faults);
+  const bool applied = api::apply_schedule_flag(flag, text, faults);
+  EXPECT_EQ(applied, once.has_value());
+  if (!applied) {
+    EXPECT_EQ(schedule_text(faults), before);
+    return;
+  }
+  for (const sim::CrashEvent& e : faults.churn)
+    EXPECT_TRUE(e.fraction > 0.0 && e.fraction < 1.0) << e.fraction;
+  for (const sim::JoinEvent& e : faults.joins)
+    EXPECT_TRUE(e.fraction > 0.0 && e.fraction < 1.0) << e.fraction;
+  EXPECT_TRUE(in_unit(faults.latency.tail_prob));
+  if (const std::optional<std::string> bad = api::validate_faults(faults)) {
+    EXPECT_FALSE(bad->empty());
+  }
+}
+
+TEST(ScenarioText, SurvivesFuzzedAndMutatedSpecs) {
+  // Out-of-grammar bytes every alphabet carries: signs, blanks, exponent
+  // and hex markers, the letters of nan/inf.
+  constexpr std::string_view kHostile = " +-.eExainf";
+  const std::vector<TextGrammar> grammars = {
+      {"--churn", "0123456789:,", {"10:0.1,20:0.05", "1:0.99999995", "3:1e-7"}},
+      {"--join", "0123456789:,", {"8:0.05,12:0.1", "2:0.123456789"}},
+      {"--block-crash", "0123456789:,-/", {"10:64-128,12:132-192:16/4", "0:1-2:1/1"}},
+      {"--partition", "0123456789:,", {"10:128:20,30:64", "1:1:4294967295"}},
+      {"--latency", "0123456789:-fixeduniformtailzero",
+       {"fixed:3", "uniform:0-4", "tail:1-16:0.05", "tail:2-9:0.123456789", "zero"}},
+      {"--chaos", "0123456789:,./@-dropupcrteslayfixnm",
+       {"drop:0.1,dup:0.05,reorder:0.2/4,cut:24@500-4000", "corrupt:1",
+        "delay:tail:5-120:0.1", "drop:0.99999995,reorder:0.123456789", "none",
+        "cut:3@0-9223372036854775807"}},
+  };
+  Rng rng{0x5ce7a210u};
+  for (const TextGrammar& g : grammars) {
+    const std::string alphabet = std::string{g.alphabet} + std::string{kHostile};
+    const auto pick = [&] { return alphabet[rng.next_below(alphabet.size())]; };
+    for (int rep = 0; rep < 20000; ++rep) {
+      std::string text(rng.next_below(24), ' ');
+      for (char& c : text) c = pick();
+      check_text(g.flag, text);
+    }
+    for (const std::string& spec : g.corpus) {
+      ASSERT_TRUE(parse_then_format(g.flag, spec).has_value()) << g.flag << " " << spec;
+      check_text(g.flag, spec);
+      for (std::size_t pos = 0; pos < spec.size(); ++pos) {
+        for (int k = 0; k < 8; ++k) {
+          std::string mutated = spec;
+          mutated[pos] = pick();
+          check_text(g.flag, mutated);
+        }
+        check_text(g.flag, spec.substr(0, pos) + spec.substr(pos + 1));
+      }
+    }
+  }
+  // Numbers the grammars once let through: signs and blanks an unsigned
+  // field cannot hold (strtoul wrapped "-1" to 4294967295), overflow
+  // (4294967296 truncated to round 0), hex floats, and NaN fractions and
+  // probabilities (every range test is false for NaN).
+  for (const std::string_view bad :
+       {"-1:0.5", "+1:0.5", " 1:0.5", "4294967296:0.5", "1:0x0.8", "1:nan", "1: 0.5"}) {
+    EXPECT_FALSE(api::parse_churn(bad).has_value()) << bad;
+    EXPECT_FALSE(api::parse_joins(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(api::parse_blocks("1:0-4:-1/1").has_value());
+  EXPECT_FALSE(api::parse_partitions("1:4294967297").has_value());
+  EXPECT_FALSE(api::parse_latency("fixed:-1").has_value());
+  EXPECT_FALSE(api::parse_latency("tail:1-2: 0.5").has_value());
+  for (const std::string_view bad : {"drop:nan", "dup: 0.5", "cut:-1@5", "reorder:0.5/-1"})
+    EXPECT_FALSE(api::parse_chaos(bad).has_value()) << bad;
+
+  // Not a schedule flag: rejected, nothing applied.
+  sim::FaultSchedule faults;
+  EXPECT_FALSE(api::apply_schedule_flag("--chaos", "drop:0.1", faults));
+  EXPECT_FALSE(api::apply_schedule_flag("--bogus", "1:0.5", faults));
 }
 
 // ---------------------------------------------------------------------------

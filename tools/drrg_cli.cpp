@@ -17,11 +17,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/scenario_text.hpp"
+#include "net/node.hpp"
 #include "support/parse.hpp"
 #include "support/table.hpp"
 
@@ -42,7 +44,7 @@ struct Options {
   std::uint16_t bind_port = 0;
   std::string seed_list;
   std::string chaos_text;
-  std::int64_t round_ms = 0;
+  std::optional<std::int64_t> round_ms;  ///< unset = RunSpec's default
   drrg::sim::TopologySpec topology{};
   drrg::sim::FaultSchedule faults{};
   // Schedule flags as typed: the churn column and the table header echo
@@ -110,10 +112,10 @@ struct Options {
                "      udp transport: comma-joined drop:P dup:P corrupt:P\n"
                "      reorder:P[/SPAN] delay:<latency-ms> cut:B@S[-H] tokens\n"
                "      (e.g. drop:0.1,dup:0.05,reorder:0.2/4,cut:24@500-4000)\n"
-               "  --round-ms maps scheduled rounds onto the udp wall clock\n"
-               "      (block-crash -> real SIGKILL, partition -> timed cut,\n"
-               "      join -> late spawn, latency -> per-datagram delay);\n"
-               "      defaults to 250 when such a schedule needs it\n",
+               "  --round-ms sets the udp wall clock, MS in 1..3600000 per round\n"
+               "      (default 250): a churn or block-crash victim halts at\n"
+               "      round * MS, a joiner binds at its birth mark, partitions\n"
+               "      become timed cuts and latency per-datagram delay\n",
                algos.c_str(), aggs.c_str(), drrg::api::topology_names().c_str());
   std::exit(code);
 }
@@ -206,7 +208,11 @@ Options parse(int argc, char** argv) {
         usage(2);
       }
     }
-    else if (arg == "--round-ms") read_number(opt.round_ms, arg, next("--round-ms"), std::int64_t{0});
+    else if (arg == "--round-ms") {
+      std::int64_t ms = 0;
+      read_number(ms, arg, next("--round-ms"), std::int64_t{1}, drrg::net::kMaxRoundMs);
+      opt.round_ms = ms;
+    }
     else if (arg == "--degree") read_number(opt.topology.degree, arg, next("--degree"));
     else if (arg == "--topology") {
       const char* name = next("--topology");
@@ -350,12 +356,12 @@ int main(int argc, char** argv) {
   spec.udp_port_base = opt.bind_port;
   spec.udp_seed_list = opt.seed_list;
   spec.udp_chaos = opt.chaos_text;
-  spec.udp_round_ms = opt.round_ms;
+  spec.udp_round_ms = opt.round_ms.value_or(spec.udp_round_ms);
   if (opt.pipeline != api::Pipeline::kDense && opt.algo != "drr")
     std::fprintf(stderr, "--pipeline only applies to --algo drr (ignored)\n");
   if (opt.transport == api::Transport::kSim &&
       (opt.bind_port != 0 || !opt.seed_list.empty() || !opt.chaos_text.empty() ||
-       opt.round_ms != 0))
+       opt.round_ms.has_value()))
     std::fprintf(stderr,
                  "--bind-port/--seed-list/--chaos/--round-ms only apply to "
                  "--transport udp (ignored)\n");

@@ -39,7 +39,7 @@ namespace {
                "                 [--churn R:F[,R:F...]] [--join R:F[,...]]\n"
                "                 [--block-crash R:LO-HI[:S/W][,...]]\n"
                "                 [--partition R:B[:H][,...]] [--latency MODEL]\n"
-               "                 [--chaos SPEC] [--round-ms MS] [--no-self-halt]\n"
+               "                 [--chaos SPEC] [--round-ms MS]\n"
                "                 [--agg max|min|ave|sum|count]\n"
                "                 [--port-base P] [--bind-port P] [--seed-list L]\n"
                "                 [--bootstrap-min-ms MS] [--linger-ms MS]\n"
@@ -52,11 +52,11 @@ namespace {
                "  --chaos       deterministic datagram adversity: comma-joined\n"
                "                drop:P dup:P corrupt:P reorder:P[/SPAN]\n"
                "                delay:<latency-ms> cut:B@S[-H] tokens\n"
-               "  --round-ms    wall-clock ms per scheduled round: maps churn /\n"
-               "                block-crash deaths, partition cuts, join births\n"
-               "                and latency onto the real clock (0 = step count)\n"
-               "  --no-self-halt  never exit at the scheduled death mark (an\n"
-               "                outer driver delivers the real SIGKILL instead)\n"
+               "  --round-ms    wall-clock ms per scheduled round (1..3600000, default\n"
+               "                250): a churn or block-crash victim halts at\n"
+               "                round * MS, a joiner binds at its birth round * MS,\n"
+               "                and partition cuts and latency land on the same\n"
+               "                clock; every node counts from its own start\n"
                "  --agg         selects which aggregate the report's 'value' field\n"
                "                renders; the pipeline always computes all of them\n"
                "  --quiet       suppress the report line (exit status only)\n");
@@ -115,8 +115,7 @@ int main(int argc, char** argv) {
       }
       opt.chaos = *parsed;
     }
-    else if (arg == "--round-ms") read_number(opt.round_ms, arg, next("--round-ms"), std::int64_t{0});
-    else if (arg == "--no-self-halt") opt.self_halt = false;
+    else if (arg == "--round-ms") read_number(opt.round_ms, arg, next("--round-ms"), std::int64_t{1}, net::kMaxRoundMs);
     else if (arg == "--bootstrap-min-ms") read_number(opt.bootstrap_min_ms, arg, next("--bootstrap-min-ms"), std::int64_t{0});
     else if (arg == "--linger-ms") read_number(opt.linger_ms, arg, next("--linger-ms"), std::int64_t{0});
     else if (arg == "--agg") agg = next("--agg");
@@ -147,13 +146,6 @@ int main(int argc, char** argv) {
                  agg.c_str());
     usage(2);
   }
-  if (opt.faults.needs_wall_clock() && opt.round_ms <= 0) {
-    std::fprintf(stderr,
-                 "--block-crash/--partition/--join/--latency need --round-ms > 0 "
-                 "to place rounds on the wall clock\n");
-    usage(2);
-  }
-
   const net::NodeReport report = net::run_node(opt);
   if (!quiet) {
     double value = 0.0;
@@ -165,10 +157,8 @@ int main(int argc, char** argv) {
     // The full report, plus the selected aggregate rendered for shell
     // one-liners that only want one number.
     std::string json = net::report_json(report);
-    char extra[64];
-    std::snprintf(extra, sizeof(extra), ",\"agg\":\"%s\",\"value\":%.17g}", agg.c_str(),
-                  value);
-    json.replace(json.size() - 1, 1, extra);
+    json.replace(json.size() - 1, 1,
+                 ",\"agg\":\"" + agg + "\",\"value\":" + net::json_number(value) + "}");
     std::printf("%s\n", json.c_str());
   }
   return (report.ok || report.scheduled_crash) ? 0 : 1;

@@ -14,12 +14,15 @@
 #   dup+reorder      duplicated datagrams + bounded-span reordering
 #                    (per-peer dedup + idempotent handlers)
 #   delay            heavy-tailed per-datagram latency (backoff, not loss)
-#   block-kill       a correlated rack outage delivered as real SIGKILLs
-#                    by the cluster parent at the scheduled wall mark
+#   block-kill       a correlated rack outage: every victim halts itself
+#                    at the scheduled wall mark (round * --round-ms,
+#                    default 250 ms); also checked on count under plain
+#                    churn, which must fold no victim's founding value
 #   partition-heal   an id-space cut that heals mid-run; survivors must
 #                    re-converge across the healed boundary
-#   join             mid-run arrivals: late-spawned processes bootstrap
-#                    into a running cluster without polluting the fold
+#   join             mid-run arrivals: processes that bind at their birth
+#                    mark bootstrap into a running cluster without
+#                    polluting the fold
 #
 #   tools/udp_chaos.sh [build-dir]
 #
@@ -118,9 +121,10 @@ want loss-corrupt   && run_family loss-corrupt   max --chaos drop:0.15,corrupt:0
 want loss-corrupt   && run_family loss-corrupt-count count --chaos drop:0.15,corrupt:0.05
 want dup-reorder    && run_family dup-reorder    max --chaos dup:0.15,reorder:0.25/4
 want delay          && run_family delay          max --chaos delay:tail:5-120:0.1
-want block-kill     && run_family block-kill     max --block-crash 2:8-16 --round-ms 250
-want partition-heal && run_family partition-heal max --partition 2:24:12 --round-ms 250
-want join           && run_family join           max --join 3:0.1 --round-ms 250
+want block-kill     && run_family block-kill     max --block-crash 2:8-16
+want block-kill     && run_family churn-count    count --churn 3:0.15
+want partition-heal && run_family partition-heal max --partition 2:24:12
+want join           && run_family join           max --join 3:0.1
 
 if [[ "$fail" != 0 ]]; then
   echo "udp_chaos: FAIL -- per-node reports kept in $out" >&2
